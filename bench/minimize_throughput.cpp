@@ -1,11 +1,11 @@
 // Minimizer-throughput comparison: wall-clock of full FSM cover synthesis
 // (row/column selects + next-state logic, the explorer's FSM elaboration
 // workload) under each two-level minimizer, across scaled_suite-style
-// workload sizes.  The Espresso path's cost scales with cube count, so it
-// pulls ahead of the dense ISOP recursion exactly where the paper's
-// Section-3 synthesis times blow up: large irregular traces (zigzag,
-// strided).  The exact Quine-McCluskey backend is included at small sizes
-// as the quality baseline.
+// workload sizes (6-12 state bits).  ISOP and Espresso produce the same
+// mapped cell counts on every row, so the comparison is one of cost: the
+// Espresso path scales with cube count, the ISOP recursion with truth
+// tables that halve at every split.  The exact Quine-McCluskey backend is
+// included at small sizes as the quality baseline.
 //
 // Emits BENCH_minimize.json (first BENCH_* trajectory file, see
 // ROADMAP.md) into the working directory: one record per

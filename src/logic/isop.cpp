@@ -1,58 +1,47 @@
 #include "logic/isop.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace addm::logic {
 
 namespace {
 
-// Recursive Minato-Morreale. Returns a cover C with L <= C <= U and, through
-// `value_out`, the truth table of C (needed by the caller's remainder step).
-Cover isop_rec(const TruthTable& L, const TruthTable& U, TruthTable& value_out) {
+// Recursive Minato-Morreale. Appends a cover C with L <= C <= U to `cubes`
+// and returns the truth table of C at L's width (needed by the caller's
+// remainder step).
+//
+// The recursion shrinks its tables: with x_v the top variable of L and U,
+// every variable above v is outside both supports, so the first 2^(v+1)
+// minterms decide everything and the cofactors on x_v are the two halves of
+// that prefix. Variables keep their indices, so cubes come out in the same
+// order as a recursion on full-width cofactors would produce.
+TruthTable isop_rec(const TruthTable& L, const TruthTable& U, std::vector<Cube>& cubes) {
   const int n = L.num_vars();
-  if (L.is_zero()) {
-    value_out = TruthTable::zeros(n);
-    return {};
-  }
-  // Split on the top variable either bound depends on.
-  int v = L.top_var();
-  const int uv = U.top_var();
-  if (uv > v) v = uv;
+  if (L.is_zero()) return TruthTable::zeros(n);
+  const int v = std::max(L.top_var(), U.top_var());
   if (v < 0) {
     // L is a nonzero constant => L = 1, and since L <= U, U = 1.
-    value_out = TruthTable::ones(n);
-    return Cover{{Cube::universe()}};
+    cubes.push_back(Cube::universe());
+    return TruthTable::ones(n);
   }
 
-  const TruthTable L0 = L.cofactor(v, false), L1 = L.cofactor(v, true);
-  const TruthTable U0 = U.cofactor(v, false), U1 = U.cofactor(v, true);
+  const auto [L0, L1] = L.truncate(v + 1).halves();
+  const auto [U0, U1] = U.truncate(v + 1).halves();
 
   // Minterms of L0 not coverable by a cube valid in both halves need x_v'.
-  TruthTable val0(n), val1(n), vald(n);
-  Cover c0 = isop_rec(L0.diff(U1), U0, val0);
-  Cover c1 = isop_rec(L1.diff(U0), U1, val1);
+  const std::size_t begin0 = cubes.size();
+  const TruthTable val0 = isop_rec(L0.diff(U1), U0, cubes);
+  const std::size_t begin1 = cubes.size();
+  const TruthTable val1 = isop_rec(L1.diff(U0), U1, cubes);
+  for (std::size_t i = begin0; i < cubes.size(); ++i) {
+    cubes[i].mask |= 1u << v;  // add literal x_v' (first cover) or x_v
+    if (i >= begin1) cubes[i].polarity |= 1u << v;
+  }
 
   // Remainder must be covered by cubes independent of x_v.
-  const TruthTable Ld = L0.diff(val0) | L1.diff(val1);
-  Cover cd = isop_rec(Ld, U0 & U1, vald);
-
-  const TruthTable xv = TruthTable::var(n, v);
-  value_out = (val0.diff(xv)) | (val1 & xv) | vald;
-
-  Cover result;
-  result.cubes.reserve(c0.cubes.size() + c1.cubes.size() + cd.cubes.size());
-  for (Cube c : c0.cubes) {
-    c.mask |= 1u << v;  // add literal x_v'
-    c.polarity &= ~(1u << v);
-    result.cubes.push_back(c);
-  }
-  for (Cube c : c1.cubes) {
-    c.mask |= 1u << v;  // add literal x_v
-    c.polarity |= 1u << v;
-    result.cubes.push_back(c);
-  }
-  for (const Cube& c : cd.cubes) result.cubes.push_back(c);
-  return result;
+  const TruthTable vald = isop_rec(L0.diff(val0) | L1.diff(val1), U0 & U1, cubes);
+  return TruthTable::join(val0 | vald, val1 | vald).widen(n);
 }
 
 }  // namespace
@@ -62,8 +51,9 @@ Cover isop(const TruthTable& onset_lower, const TruthTable& onset_upper) {
     throw std::invalid_argument("isop: mismatched variable counts");
   if (!onset_lower.implies(onset_upper))
     throw std::invalid_argument("isop: lower bound not contained in upper bound");
-  TruthTable value(onset_lower.num_vars());
-  return isop_rec(onset_lower, onset_upper, value);
+  Cover cover;
+  isop_rec(onset_lower, onset_upper, cover.cubes);
+  return cover;
 }
 
 Cover isop(const TruthTable& f) { return isop(f, f); }

@@ -3,9 +3,10 @@
 // The synthesis layer (synth/fsm, core/cntag) used to call logic::isop
 // directly; this dispatcher routes an incompletely specified function to
 // the right minimizer:
-//  * Isop      — the dense Minato-Morreale recursion (the historical
-//                default; exponential in variables but exact-quality on
-//                the small functions the default pipeline produces),
+//  * Isop      — the Minato-Morreale recursion on truth tables that halve
+//                at every split (the default; only its top-level tables
+//                are 2^n bits, and it is the fastest backend on every FSM
+//                workload of bench/minimize_throughput, 6-12 variables),
 //  * Exact     — Quine-McCluskey + branch-and-bound (guaranteed minimum
 //                cube count; n <= 12),
 //  * Espresso  — the cube-list heuristic (logic/espresso.hpp), whose cost
@@ -33,9 +34,11 @@ enum class MinimizerAlgo {
   Auto,      ///< Isop for small functions, Espresso above the threshold
 };
 
-/// Default Auto crossover: at 9+ variables the dense recursion's 2^n
-/// footprint starts to dominate FSM elaboration (ISSUE 3 profile), while
-/// the cube-list heuristic keeps scaling with the state count.
+/// Default Auto crossover: functions of 9+ variables go to Espresso.  It
+/// was chosen when the ISOP recursion copied full-width cofactors at every
+/// node; the shrinking-table recursion now beats Espresso at 6-12 variables
+/// too, but the value stays because it decides which covers, and so which
+/// reports and fingerprints, `auto` produces.
 inline constexpr int kDefaultHeuristicMinVars = 9;
 
 struct MinimizeOptions {

@@ -1,5 +1,6 @@
 #include "logic/truth_table.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -19,7 +20,7 @@ std::size_t words_for(int num_vars) {
 TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {
   if (num_vars < 0 || num_vars > 24)
     throw std::invalid_argument("TruthTable: num_vars out of range [0,24]");
-  words_.assign(words_for(num_vars), 0);
+  if (num_vars > 6) more_words_.assign(words_for(num_vars), 0);
 }
 
 std::uint64_t TruthTable::live_mask(std::size_t) const {
@@ -29,12 +30,12 @@ std::uint64_t TruthTable::live_mask(std::size_t) const {
 }
 
 void TruthTable::normalize() {
-  if (num_vars_ < 6) words_[0] &= live_mask(0);
+  if (num_vars_ < 6) word0_ &= live_mask(0);
 }
 
 TruthTable TruthTable::ones(int num_vars) {
   TruthTable t(num_vars);
-  for (auto& w : t.words_) w = ~0ull;
+  for (auto& w : t.words()) w = ~0ull;
   t.normalize();
   return t;
 }
@@ -43,43 +44,45 @@ TruthTable TruthTable::var(int num_vars, int k) {
   if (k < 0 || k >= num_vars) throw std::invalid_argument("TruthTable::var: bad index");
   TruthTable t(num_vars);
   if (k < 6) {
-    for (auto& w : t.words_) w = kVarMask[k];
+    for (auto& w : t.words()) w = kVarMask[k];
   } else {
     const std::size_t stride = std::size_t{1} << (k - 6);
-    for (std::size_t i = 0; i < t.words_.size(); ++i)
-      if ((i / stride) & 1) t.words_[i] = ~0ull;
+    const auto tw = t.words();
+    for (std::size_t i = 0; i < tw.size(); ++i)
+      if ((i / stride) & 1) tw[i] = ~0ull;
   }
   t.normalize();
   return t;
 }
 
 bool TruthTable::get(std::uint64_t m) const {
-  return (words_[m >> 6] >> (m & 63)) & 1;
+  return (words()[m >> 6] >> (m & 63)) & 1;
 }
 
 void TruthTable::set(std::uint64_t m, bool value) {
   if (m >= num_minterms_capacity()) throw std::out_of_range("TruthTable::set");
   if (value)
-    words_[m >> 6] |= std::uint64_t{1} << (m & 63);
+    words()[m >> 6] |= std::uint64_t{1} << (m & 63);
   else
-    words_[m >> 6] &= ~(std::uint64_t{1} << (m & 63));
+    words()[m >> 6] &= ~(std::uint64_t{1} << (m & 63));
 }
 
 bool TruthTable::is_zero() const {
-  for (auto w : words_)
+  for (auto w : words())
     if (w) return false;
   return true;
 }
 
 bool TruthTable::is_ones() const {
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if (words_[i] != live_mask(i)) return false;
+  const auto w = words();
+  for (std::size_t i = 0; i < w.size(); ++i)
+    if (w[i] != live_mask(i)) return false;
   return true;
 }
 
 std::uint64_t TruthTable::count_ones() const {
   std::uint64_t n = 0;
-  for (auto w : words_) n += static_cast<std::uint64_t>(std::popcount(w));
+  for (auto w : words()) n += static_cast<std::uint64_t>(std::popcount(w));
   return n;
 }
 
@@ -89,7 +92,7 @@ TruthTable TruthTable::cofactor(int k, bool val) const {
   if (k < 6) {
     const int shift = 1 << k;
     const std::uint64_t hi = kVarMask[k];
-    for (auto& w : r.words_) {
+    for (auto& w : r.words()) {
       if (val) {
         const std::uint64_t h = w & hi;
         w = h | (h >> shift);
@@ -100,12 +103,13 @@ TruthTable TruthTable::cofactor(int k, bool val) const {
     }
   } else {
     const std::size_t stride = std::size_t{1} << (k - 6);
-    for (std::size_t base = 0; base < r.words_.size(); base += 2 * stride)
+    const auto rw = r.words();
+    for (std::size_t base = 0; base < rw.size(); base += 2 * stride)
       for (std::size_t i = 0; i < stride; ++i) {
         if (val)
-          r.words_[base + i] = r.words_[base + stride + i];
+          rw[base + i] = rw[base + stride + i];
         else
-          r.words_[base + stride + i] = r.words_[base + i];
+          rw[base + stride + i] = rw[base + i];
       }
   }
   r.normalize();
@@ -113,49 +117,141 @@ TruthTable TruthTable::cofactor(int k, bool val) const {
 }
 
 bool TruthTable::depends_on(int k) const {
-  return cofactor(k, false) != cofactor(k, true);
+  if (k < 0 || k >= num_vars_) throw std::invalid_argument("depends_on: bad var");
+  if (k < 6) {
+    // Bit m with x_k = 0 against bit m + 2^k, for every such m at once.
+    const int shift = 1 << k;
+    for (auto w : words())
+      if ((w ^ (w >> shift)) & ~kVarMask[k]) return true;
+    return false;
+  }
+  const std::size_t stride = std::size_t{1} << (k - 6);
+  const auto w = words();
+  for (std::size_t base = 0; base < w.size(); base += 2 * stride)
+    for (std::size_t i = 0; i < stride; ++i)
+      if (w[base + i] != w[base + stride + i]) return true;
+  return false;
+}
+
+bool TruthTable::prefix_depends_on(int k) const {
+  const auto w = words();
+  if (k < 6) {
+    const int shift = 1 << k;
+    const std::uint64_t low = (std::uint64_t{1} << shift) - 1;
+    return ((w[0] ^ (w[0] >> shift)) & low) != 0;
+  }
+  const std::size_t half = std::size_t{1} << (k - 6);
+  for (std::size_t i = 0; i < half; ++i)
+    if (w[i] != w[half + i]) return true;
+  return false;
 }
 
 int TruthTable::top_var() const {
+  // Once f is known not to depend on x_{k+1} and above, the table repeats
+  // its first 2^(k+1) minterms, so x_k is tested on that prefix alone.
   for (int k = num_vars_ - 1; k >= 0; --k)
-    if (depends_on(k)) return k;
+    if (prefix_depends_on(k)) return k;
   return -1;
+}
+
+TruthTable TruthTable::truncate(int k) const {
+  if (k < 0 || k > num_vars_) throw std::invalid_argument("truncate: bad width");
+  TruthTable r(k);
+  const auto rw = r.words();
+  std::copy_n(words().begin(), rw.size(), rw.begin());
+  r.normalize();
+  return r;
+}
+
+std::pair<TruthTable, TruthTable> TruthTable::halves() const {
+  if (num_vars_ < 1) throw std::invalid_argument("halves: no variable to split");
+  TruthTable lo(num_vars_ - 1), hi(num_vars_ - 1);
+  const auto w = words();
+  if (num_vars_ <= 6) {
+    lo.word0_ = w[0];
+    hi.word0_ = w[0] >> (1 << (num_vars_ - 1));
+    lo.normalize();
+    hi.normalize();
+  } else {
+    const std::size_t half = w.size() / 2;
+    std::copy_n(w.begin(), half, lo.words().begin());
+    std::copy_n(w.begin() + half, half, hi.words().begin());
+  }
+  return {std::move(lo), std::move(hi)};
+}
+
+TruthTable TruthTable::join(const TruthTable& lo, const TruthTable& hi) {
+  if (lo.num_vars_ != hi.num_vars_) throw std::invalid_argument("join: mismatched widths");
+  TruthTable r(lo.num_vars_ + 1);
+  if (lo.num_vars_ < 6) {
+    r.word0_ = lo.word0_ | (hi.word0_ << (1 << lo.num_vars_));
+  } else {
+    const auto lw = lo.words(), hw = hi.words();
+    std::copy(hw.begin(), hw.end(), std::copy(lw.begin(), lw.end(), r.words().begin()));
+  }
+  return r;
+}
+
+TruthTable TruthTable::widen(int k) const {
+  if (k < num_vars_) throw std::invalid_argument("widen: fewer variables");
+  TruthTable r(k);
+  const auto w = words();
+  const auto rw = r.words();
+  if (num_vars_ < 6) {
+    std::uint64_t word = w[0];
+    for (int j = num_vars_; j < std::min(k, 6); ++j) word |= word << (1 << j);
+    std::fill(rw.begin(), rw.end(), word);
+  } else {
+    for (std::size_t i = 0; i < rw.size(); i += w.size())
+      std::copy(w.begin(), w.end(), rw.begin() + i);
+  }
+  return r;
 }
 
 TruthTable TruthTable::operator&(const TruthTable& o) const {
   TruthTable r = *this;
-  for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] &= o.words_[i];
+  const auto rw = r.words();
+  const auto ow = o.words();
+  for (std::size_t i = 0; i < rw.size(); ++i) rw[i] &= ow[i];
   return r;
 }
 
 TruthTable TruthTable::operator|(const TruthTable& o) const {
   TruthTable r = *this;
-  for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] |= o.words_[i];
+  const auto rw = r.words();
+  const auto ow = o.words();
+  for (std::size_t i = 0; i < rw.size(); ++i) rw[i] |= ow[i];
   return r;
 }
 
 TruthTable TruthTable::operator^(const TruthTable& o) const {
   TruthTable r = *this;
-  for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] ^= o.words_[i];
+  const auto rw = r.words();
+  const auto ow = o.words();
+  for (std::size_t i = 0; i < rw.size(); ++i) rw[i] ^= ow[i];
   return r;
 }
 
 TruthTable TruthTable::operator~() const {
   TruthTable r = *this;
-  for (auto& w : r.words_) w = ~w;
+  for (auto& w : r.words()) w = ~w;
   r.normalize();
   return r;
 }
 
 TruthTable TruthTable::diff(const TruthTable& o) const {
   TruthTable r = *this;
-  for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] &= ~o.words_[i];
+  const auto rw = r.words();
+  const auto ow = o.words();
+  for (std::size_t i = 0; i < rw.size(); ++i) rw[i] &= ~ow[i];
   return r;
 }
 
 bool TruthTable::implies(const TruthTable& o) const {
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if (words_[i] & ~o.words_[i]) return false;
+  const auto w = words();
+  const auto ow = o.words();
+  for (std::size_t i = 0; i < w.size(); ++i)
+    if (w[i] & ~ow[i]) return false;
   return true;
 }
 

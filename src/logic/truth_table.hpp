@@ -2,10 +2,13 @@
 //
 // Bit m of the table is f(m) where variable k contributes bit k of the
 // minterm index m. Tables are the workhorse of the logic-minimization layer:
-// the ISOP minimizer cofactors them, and tests verify covers against them.
+// the ISOP minimizer splits them into halves, and tests verify covers
+// against them.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace addm::logic {
@@ -30,12 +33,26 @@ class TruthTable {
   bool is_ones() const;
   /// Number of minterms where f = 1.
   std::uint64_t count_ones() const;
+  /// True if cofactor(k, false) != cofactor(k, true); compares in place.
   bool depends_on(int k) const;
   /// Highest variable index the function depends on, or -1 if constant.
   int top_var() const;
 
   /// Cofactor with respect to x_k = val; result no longer depends on x_k.
   TruthTable cofactor(int k, bool val) const;
+
+  /// The first 2^k minterms as a k-variable table (0 <= k <= num_vars()).
+  /// Equals *this on every minterm when f depends on no variable >= k.
+  TruthTable truncate(int k) const;
+  /// The cofactors on the top variable x_{n-1} as (n-1)-variable tables:
+  /// the lower and upper halves of the table (requires num_vars() >= 1).
+  std::pair<TruthTable, TruthTable> halves() const;
+  /// Inverse of halves(): the (n+1)-variable table equal to `lo` where
+  /// x_n = 0 and to `hi` where x_n = 1 (both n-variable tables).
+  static TruthTable join(const TruthTable& lo, const TruthTable& hi);
+  /// The same function over k >= num_vars() variables, none of the added
+  /// ones in its support (the table repeated 2^(k - num_vars()) times).
+  TruthTable widen(int k) const;
 
   // Pointwise operators.
   TruthTable operator&(const TruthTable& o) const;
@@ -52,9 +69,22 @@ class TruthTable {
 
  private:
   int num_vars_;
-  std::vector<std::uint64_t> words_;
+  // The table lives in word0_ up to 6 variables and in more_words_ above,
+  // so the small tables deep in the ISOP recursion never allocate.
+  std::uint64_t word0_ = 0;
+  std::vector<std::uint64_t> more_words_;
+  std::span<std::uint64_t> words() {
+    if (num_vars_ <= 6) return {&word0_, 1};
+    return more_words_;
+  }
+  std::span<const std::uint64_t> words() const {
+    if (num_vars_ <= 6) return {&word0_, 1};
+    return more_words_;
+  }
   std::uint64_t live_mask(std::size_t word_index) const;
   void normalize();
+  /// Whether the first 2^(k+1) minterms differ between x_k = 0 and x_k = 1.
+  bool prefix_depends_on(int k) const;
 };
 
 }  // namespace addm::logic

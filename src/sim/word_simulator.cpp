@@ -25,12 +25,14 @@ void WordSimulator::set_input(NetId net, std::uint64_t lanes) {
   if (!nl_->is_primary_input(net))
     throw std::invalid_argument("set_input: net is not a primary input");
   values_[net] = lanes;
+  inputs_dirty_ = true;
 }
 
 void WordSimulator::set(std::string_view name, std::uint64_t lanes) {
   const auto net = nl_->find_input(name);
   if (!net) throw std::invalid_argument("set: unknown input " + std::string(name));
   values_[*net] = lanes;
+  inputs_dirty_ = true;
 }
 
 void WordSimulator::set_all(std::string_view name, bool value) {
@@ -67,6 +69,7 @@ void WordSimulator::set_bus(std::string_view prefix, std::uint64_t value) {
   const auto nets = checked_bus_nets(*nl_, prefix, value, "set_bus");
   for (std::size_t i = 0; i < nets.size(); ++i)
     values_[nets[i]] = (value >> i) & 1 ? kAllLanes : 0;
+  inputs_dirty_ = true;
 }
 
 void WordSimulator::set_bus_lane(std::string_view prefix, std::size_t lane,
@@ -80,6 +83,7 @@ void WordSimulator::set_bus_lane(std::string_view prefix, std::size_t lane,
     else
       values_[nets[i]] &= ~mask;
   }
+  inputs_dirty_ = true;
 }
 
 void WordSimulator::eval() {
@@ -103,10 +107,13 @@ void WordSimulator::eval() {
     }
     values_[op.out] = v;
   }
+  inputs_dirty_ = false;
 }
 
 void WordSimulator::step() {
-  eval();
+  // Without an input change since the last eval() the pre-edge values are
+  // already settled (every replay cycle after reset), so skip that pass.
+  if (inputs_dirty_) eval();
   if (count_toggles_) prev_ = values_;
 
   // Capture next states from pre-edge values, then commit — lane-parallel

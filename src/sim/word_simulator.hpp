@@ -59,7 +59,8 @@ class WordSimulator {
   // --- stepping ---------------------------------------------------------------
   /// Re-evaluates combinational logic from current inputs/state (all lanes).
   void eval();
-  /// eval(), clock edge, eval(). Advances one cycle in every lane.
+  /// eval(), clock edge, eval(). Advances one cycle in every lane; the first
+  /// eval() is skipped when no input was set since the last one.
   void step();
   /// Convenience: step `n` times with current inputs held.
   void run(std::size_t n);
@@ -102,6 +103,7 @@ class WordSimulator {
   std::vector<std::uint64_t> toggles_;  // per net, summed over lanes
   std::uint64_t cycles_ = 0;
   bool count_toggles_ = false;
+  bool inputs_dirty_ = true;  // an input changed since the last eval()
 };
 
 }  // namespace addm::sim

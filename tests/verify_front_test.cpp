@@ -4,6 +4,7 @@
 // the options fingerprint stays pinned for the default options.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/verify.hpp"
 #include "netlist/builder.hpp"
 #include "seq/workloads.hpp"
+#include "sim/simulator.hpp"
 
 namespace addm::core {
 namespace {
@@ -73,6 +75,104 @@ TEST(VerifyFront, ReportsMismatchWithCycleDiagnostics) {
   const auto err2 = verify_reference_against_trace(no_bus, trace);
   ASSERT_TRUE(err2.has_value());
   EXPECT_NE(err2->find("no output bus"), std::string::npos) << *err2;
+}
+
+/// `nl` rebuilt cell by cell, with cell `target` turned into a `type` gate.
+netlist::Netlist with_cell_type(const netlist::Netlist& nl, std::size_t target,
+                                netlist::CellType type) {
+  netlist::Netlist m;
+  while (m.num_nets() < nl.num_nets()) m.new_net();
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i)
+    m.bind_input(nl.input_name(i), nl.inputs()[i]);
+  for (std::size_t i = 0; i < nl.cells().size(); ++i) {
+    const netlist::Cell& c = nl.cell(i);
+    m.add_cell(i == target ? type : c.type, c.inputs, c.output);
+  }
+  for (std::size_t i = 0; i < nl.outputs().size(); ++i)
+    m.add_output(nl.output_name(i), nl.outputs()[i]);
+  return m;
+}
+
+/// The gate of the same arity that computes the complementary or dual
+/// function; nullopt for cells that are not gates.
+std::optional<netlist::CellType> swapped_gate(netlist::CellType t) {
+  using netlist::CellType;
+  switch (t) {
+    case CellType::Inv:   return CellType::Buf;
+    case CellType::Buf:   return CellType::Inv;
+    case CellType::Nand2: return CellType::Nor2;
+    case CellType::Nor2:  return CellType::Nand2;
+    case CellType::And2:  return CellType::Or2;
+    case CellType::Or2:   return CellType::And2;
+    case CellType::Xor2:  return CellType::Xnor2;
+    case CellType::Xnor2: return CellType::Xor2;
+    default:              return std::nullopt;
+  }
+}
+
+/// First cycle at which a scalar replay of `rc` under the verify protocol
+/// (one reset cycle, then one cycle per access with `drive` held) shows a
+/// wrong hot line; nullopt when every cycle matches the trace.
+std::optional<std::size_t> scalar_first_wrong_cycle(const ReferenceCircuit& rc,
+                                                    const seq::AddressTrace& trace) {
+  sim::Simulator s(rc.netlist);
+  s.set("reset", true);
+  for (const auto& [name, value] : rc.drive) s.set(name, false);
+  s.step();
+  s.set("reset", false);
+  for (const auto& [name, value] : rc.drive) s.set(name, value);
+  for (std::size_t k = 0; k < trace.length(); ++k) {
+    const std::uint32_t a = trace.linear()[k];
+    const bool ok = rc.col_bus.empty()
+                        ? s.hot_index(rc.row_bus) == a
+                        : s.hot_index(rc.row_bus) == trace.row_of(a) &&
+                              s.hot_index(rc.col_bus) == trace.col_of(a);
+    if (!ok) return k;
+    s.step();
+  }
+  return std::nullopt;
+}
+
+TEST(VerifyFront, GateMutantsOfRealReferencesFailAtTheScalarCycle) {
+  // Every single-gate type swap of two sequential registry references: the
+  // word-parallel verify must fail exactly when a scalar replay of the same
+  // mutant shows a wrong hot line, and name that replay's first wrong cycle.
+  // A stale pre-edge value in the word simulator would move that cycle or
+  // hide the failure.
+  const auto trace = seq::block_raster({8, 8}, 4, 4);
+  for (const char* arch : {"CntAG-flat", "SRAG"}) {
+    SCOPED_TRACE(arch);
+    const GeneratorEntry* entry = nullptr;
+    for (const GeneratorEntry& e : generator_registry())
+      if (e.name == arch) entry = &e;
+    ASSERT_NE(entry, nullptr);
+    const auto rc = entry->reference(trace, {});
+    ASSERT_TRUE(rc.has_value());
+    ASSERT_EQ(verify_reference_against_trace(*rc, trace), std::nullopt);
+
+    std::size_t exposed = 0, late = 0;
+    for (std::size_t i = 0; i < rc->netlist.cells().size(); ++i) {
+      const auto swapped = swapped_gate(rc->netlist.cell(i).type);
+      if (!swapped) continue;
+      SCOPED_TRACE("cell " + std::to_string(i));
+      ReferenceCircuit mutant = *rc;
+      mutant.netlist = with_cell_type(rc->netlist, i, *swapped);
+      ASSERT_TRUE(mutant.netlist.validate().empty());
+
+      const auto wrong = scalar_first_wrong_cycle(mutant, trace);
+      const auto err = verify_reference_against_trace(mutant, trace);
+      if (!wrong) {
+        EXPECT_EQ(err, std::nullopt) << *err;
+        continue;
+      }
+      ++exposed;
+      if (*wrong >= 2) ++late;
+      ASSERT_TRUE(err.has_value()) << "scalar replay fails at cycle " << *wrong;
+      EXPECT_EQ(err->rfind("cycle " + std::to_string(*wrong) + ":", 0), 0u) << *err;
+    }
+    EXPECT_GT(exposed, 0u);
+    EXPECT_GT(late, 0u);
+  }
 }
 
 TEST(VerifyFront, FingerprintPinnedWhenDisabledDistinctWhenEnabled) {

@@ -1,15 +1,17 @@
 // Equivalence and unit tests for the levelized 64-lane word simulator: on
 // randomized netlists (every cell type, flip-flop feedback included) each
 // lane of sim::WordSimulator must be bit-identical to a scalar
-// sim::Simulator driven with that lane's stimulus — outputs and toggle
-// counts alike — both with one stimulus replicated across all lanes and
-// with 64 distinct per-lane streams.  Plus levelizer structure tests and
-// a generator-netlist replay.
+// sim::Simulator driven with that lane's stimulus — every net and toggle
+// count after every cycle — both with one stimulus replicated across all
+// lanes and with 64 distinct per-lane streams, while inputs are held for
+// random run lengths and changed through every input entry point.  Plus
+// levelizer structure tests and a generator-netlist replay.
 //
 // PRNGs are seeded, so failures reproduce deterministically.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/cntag.hpp"
@@ -85,6 +87,85 @@ RandomCircuit random_circuit(std::mt19937& rng, std::size_t num_cells) {
   return c;
 }
 
+/// Changes the inputs of `w` through one randomly chosen entry point
+/// (set_input, set, set_all, set_bus, set_bus_lane) and mirrors the change
+/// into the scalar simulators: with one scalar every lane gets its stimulus,
+/// with kLanes scalars lanes[l] follows lane l.
+void drive_random_change(std::mt19937& rng, const RandomCircuit& c, WordSimulator& w,
+                         std::vector<Simulator>& lanes) {
+  const bool replicated = lanes.size() == 1;
+  auto lane_word = [&]() -> std::uint64_t {
+    if (replicated) return rng() & 1 ? WordSimulator::kAllLanes : 0;
+    return (std::uint64_t{rng()} << 32) | rng();
+  };
+  const std::size_t width = c.inputs.size();
+  const std::string name = "in[" + std::to_string(rng() % width) + "]";
+  const std::uint64_t bus_value = rng() % (std::uint64_t{1} << width);
+  switch (rng() % 5) {
+    case 0:
+      for (NetId in : c.inputs) {
+        const std::uint64_t word = lane_word();
+        w.set_input(in, word);
+        for (std::size_t l = 0; l < lanes.size(); ++l) lanes[l].set_input(in, (word >> l) & 1);
+      }
+      break;
+    case 1: {
+      const std::uint64_t word = lane_word();
+      w.set(name, word);
+      for (std::size_t l = 0; l < lanes.size(); ++l) lanes[l].set(name, (word >> l) & 1);
+      break;
+    }
+    case 2: {
+      const bool v = rng() & 1;
+      w.set_all(name, v);
+      for (Simulator& s : lanes) s.set(name, v);
+      break;
+    }
+    case 3:
+      w.set_bus("in", bus_value);
+      for (Simulator& s : lanes) s.set_bus("in", bus_value);
+      break;
+    default: {
+      // One lane; with replicated stimulus every lane, one call at a time.
+      const std::size_t lane = rng() % WordSimulator::kLanes;
+      for (std::size_t l = 0; l < WordSimulator::kLanes; ++l)
+        if (replicated || l == lane) w.set_bus_lane("in", l, bus_value);
+      lanes[replicated ? 0 : lane].set_bus("in", bus_value);
+      break;
+    }
+  }
+}
+
+/// Steps `w` and its scalar mirrors for `cycles` cycles, holding the inputs
+/// for random run lengths between random changes, and compares every net
+/// and every toggle count after every cycle.
+void run_against_scalar(std::mt19937& rng, const RandomCircuit& c, WordSimulator& w,
+                        std::vector<Simulator>& lanes, int cycles) {
+  const bool replicated = lanes.size() == 1;
+  int hold = 0;
+  for (int step = 0; step < cycles; ++step) {
+    if (hold-- == 0) {
+      drive_random_change(rng, c, w, lanes);
+      hold = static_cast<int>(rng() % 6);
+    }
+    w.step();
+    for (Simulator& s : lanes) s.step();
+    for (NetId n = 0; n < c.nl.num_nets(); ++n) {
+      std::uint64_t want = 0, toggles = 0;
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        want |= std::uint64_t{lanes[l].value(n)} << l;
+        toggles += lanes[l].toggles()[n];
+      }
+      if (replicated) {
+        want = want ? WordSimulator::kAllLanes : 0;
+        toggles *= WordSimulator::kLanes;
+      }
+      ASSERT_EQ(w.word(n), want) << "net " << n << " step " << step;
+      ASSERT_EQ(w.toggles()[n], toggles) << "net " << n << " step " << step;
+    }
+  }
+}
+
 TEST(WordSimulator, MatchesScalarWithReplicatedStimulus) {
   std::mt19937 rng(0x5eedau);
   for (int trial = 0; trial < 20; ++trial) {
@@ -92,26 +173,11 @@ TEST(WordSimulator, MatchesScalarWithReplicatedStimulus) {
     RandomCircuit c = random_circuit(rng, 40 + rng() % 80);
     ASSERT_TRUE(c.nl.validate().empty());
 
-    Simulator s(c.nl);
+    std::vector<Simulator> scalar(1, Simulator(c.nl));
     WordSimulator w(c.nl);
-    s.enable_toggle_counting();
+    scalar[0].enable_toggle_counting();
     w.enable_toggle_counting();
-
-    for (int step = 0; step < 24; ++step) {
-      for (NetId in : c.inputs) {
-        const bool v = rng() & 1;
-        s.set_input(in, v);
-        w.set_input(in, v ? WordSimulator::kAllLanes : 0);
-      }
-      s.step();
-      w.step();
-      for (NetId n = 0; n < c.nl.num_nets(); ++n) {
-        const std::uint64_t want = s.value(n) ? WordSimulator::kAllLanes : 0;
-        ASSERT_EQ(w.word(n), want) << "net " << n << " step " << step;
-      }
-    }
-    for (NetId n = 0; n < c.nl.num_nets(); ++n)
-      ASSERT_EQ(w.toggles()[n], WordSimulator::kLanes * s.toggles()[n]) << "net " << n;
+    ASSERT_NO_FATAL_FAILURE(run_against_scalar(rng, c, w, scalar, 48));
   }
 }
 
@@ -128,26 +194,7 @@ TEST(WordSimulator, MatchesScalarWithDistinctPerLaneStimuli) {
     WordSimulator w(c.nl);
     for (Simulator& s : lanes) s.enable_toggle_counting();
     w.enable_toggle_counting();
-
-    for (int step = 0; step < 12; ++step) {
-      for (NetId in : c.inputs) {
-        std::uint64_t word = (std::uint64_t{rng()} << 32) | rng();
-        w.set_input(in, word);
-        for (std::size_t l = 0; l < lanes.size(); ++l)
-          lanes[l].set_input(in, (word >> l) & 1);
-      }
-      w.step();
-      for (Simulator& s : lanes) s.step();
-      for (NetId n = 0; n < c.nl.num_nets(); ++n)
-        for (std::size_t l = 0; l < lanes.size(); ++l)
-          ASSERT_EQ(w.value(n, l), lanes[l].value(n))
-              << "net " << n << " lane " << l << " step " << step;
-    }
-    for (NetId n = 0; n < c.nl.num_nets(); ++n) {
-      std::uint64_t sum = 0;
-      for (const Simulator& s : lanes) sum += s.toggles()[n];
-      ASSERT_EQ(w.toggles()[n], sum) << "net " << n;
-    }
+    ASSERT_NO_FATAL_FAILURE(run_against_scalar(rng, c, w, lanes, 24));
   }
 }
 
