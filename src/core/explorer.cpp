@@ -22,24 +22,6 @@ using netlist::NetlistBuilder;
 
 namespace {
 
-DesignPoint measured_point(std::string arch, Netlist nl, const ExploreOptions& opt,
-                           std::string note = {}) {
-  DesignPoint p;
-  p.architecture = std::move(arch);
-  p.metrics = measure_netlist(nl, opt.library, opt.max_fanout);
-  p.feasible = true;
-  p.note = std::move(note);
-  return p;
-}
-
-DesignPoint infeasible_point(std::string arch, std::string why) {
-  DesignPoint p;
-  p.architecture = std::move(arch);
-  p.feasible = false;
-  p.note = std::move(why);
-  return p;
-}
-
 Netlist elaborate_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
                          const logic::MinimizeOptions& minimize) {
   const auto rows = trace.rows();
@@ -79,8 +61,7 @@ bool is_fifo(const seq::AddressTrace& trace) {
 
 bool always(const seq::AddressTrace&, const ExploreOptions&) { return true; }
 
-DesignPoint elaborate_srag_point(const seq::AddressTrace& trace,
-                                 const ExploreOptions& opt) {
+CandidateBuild build_srag(const seq::AddressTrace& trace, const ExploreOptions&) {
   try {
     Srag2dBuild srag = build_srag_2d_for_trace(trace);
     std::ostringstream note;
@@ -88,115 +69,19 @@ DesignPoint elaborate_srag_point(const seq::AddressTrace& trace,
          << " ffs dC=" << srag.row.div_count << " pC=" << srag.row.pass_count
          << "; col: " << srag.col.num_registers() << " regs/" << srag.col.num_flipflops()
          << " ffs dC=" << srag.col.div_count << " pC=" << srag.col.pass_count;
-    return measured_point("SRAG", std::move(srag.netlist), opt, note.str());
+    return {ReferenceCircuit{std::move(srag.netlist)}, note.str()};
   } catch (const std::invalid_argument& e) {
-    return infeasible_point("SRAG", e.what());
+    return {std::nullopt, e.what()};
   }
 }
 
-DesignPoint elaborate_multicounter_point(const seq::AddressTrace& trace,
-                                         const ExploreOptions& opt) {
-  const auto rows = trace.rows();
-  const auto cols = trace.cols();
-  auto row_map = map_sequence_multicounter(
-      rows, static_cast<std::uint32_t>(trace.geometry().height));
-  auto col_map = map_sequence_multicounter(
-      cols, static_cast<std::uint32_t>(trace.geometry().width));
-  if (!row_map.ok() || !col_map.ok()) {
-    return infeasible_point(
-        "SRAG-multicounter",
-        !row_map.ok() ? "row: " + row_map.detail : "col: " + col_map.detail);
-  }
-  Netlist nl;
-  NetlistBuilder b(nl);
-  const NetId next = b.input("next");
-  const NetId reset = b.input("reset");
-  const auto rp = build_multi_srag(b, *row_map.config, next, reset);
-  const auto cp = build_multi_srag(b, *col_map.config, next, reset);
-  b.output_bus("rs", rp.select);
-  b.output_bus("cs", cp.select);
-  return measured_point("SRAG-multicounter", std::move(nl), opt);
-}
-
-GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
-                           std::string note) {
-  GeneratorEntry e;
-  e.name = name;
-  e.applicable = always;
-  e.elaborate = [name, style, note](const seq::AddressTrace& trace,
-                                    const ExploreOptions& opt) {
-    CntAgOptions copt;
-    copt.decoder_style = style;
-    copt.minimize = opt.minimize;
-    return measured_point(name, elaborate_cntag(trace, copt), opt, note);
-  };
-  e.reference = [style](const seq::AddressTrace& trace,
-                        const ExploreOptions& opt) -> std::optional<ReferenceCircuit> {
-    CntAgOptions copt;
-    copt.decoder_style = style;
-    copt.minimize = opt.minimize;
-    ReferenceCircuit rc;
-    rc.netlist = elaborate_cntag(trace, copt);
-    return rc;
-  };
-  return e;
-}
-
-GeneratorEntry fsm_entry(std::string name, synth::FsmEncoding enc) {
-  GeneratorEntry e;
-  e.name = name;
-  e.applicable = [](const seq::AddressTrace&, const ExploreOptions& opt) {
-    return opt.include_fsm;
-  };
-  e.elaborate = [name, enc](const seq::AddressTrace& trace, const ExploreOptions& opt) {
-    if (trace.length() > opt.max_fsm_states) {
-      return infeasible_point(
-          name, "synthesis impractical beyond " + std::to_string(opt.max_fsm_states) +
-                    " states (sequence has " + std::to_string(trace.length()) + ")");
-    }
-    return measured_point(name, elaborate_fsm_2d(trace, enc, opt.minimize), opt);
-  };
-  e.reference = [enc](const seq::AddressTrace& trace,
-                      const ExploreOptions& opt) -> std::optional<ReferenceCircuit> {
-    if (trace.length() > opt.max_fsm_states) return std::nullopt;
-    ReferenceCircuit rc;
-    rc.netlist = elaborate_fsm_2d(trace, enc, opt.minimize);
-    return rc;
-  };
-  return e;
-}
-
-DesignPoint elaborate_sfm_point(const seq::AddressTrace& trace,
-                                const ExploreOptions& opt) {
-  if (!is_fifo(trace))
-    return infeasible_point("SFM", "SFM supports FIFO access only");
-  return measured_point("SFM", elaborate_sfm(trace.geometry().size()), opt,
-                        "one-hot FIFO pointers (1-D memory)");
-}
-
-// --- reference netlists for gate-level front verification -------------------
-// Each hook re-elaborates the candidate's raw (unbuffered) netlist and
-// names the buses the verify stage must replay against the trace; nullopt
-// mirrors the elaborate callable's infeasibility conditions.
-
-std::optional<ReferenceCircuit> srag_reference(const seq::AddressTrace& trace,
-                                               const ExploreOptions&) {
-  try {
-    ReferenceCircuit rc;
-    rc.netlist = build_srag_2d_for_trace(trace).netlist;
-    return rc;
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<ReferenceCircuit> multicounter_reference(const seq::AddressTrace& trace,
-                                                       const ExploreOptions&) {
+CandidateBuild build_multicounter(const seq::AddressTrace& trace, const ExploreOptions&) {
   auto row_map = map_sequence_multicounter(
       trace.rows(), static_cast<std::uint32_t>(trace.geometry().height));
   auto col_map = map_sequence_multicounter(
       trace.cols(), static_cast<std::uint32_t>(trace.geometry().width));
-  if (!row_map.ok() || !col_map.ok()) return std::nullopt;
+  if (!row_map.ok() || !col_map.ok())
+    return {std::nullopt, !row_map.ok() ? "row: " + row_map.detail : "col: " + col_map.detail};
   ReferenceCircuit rc;
   NetlistBuilder b(rc.netlist);
   const NetId next = b.input("next");
@@ -205,34 +90,65 @@ std::optional<ReferenceCircuit> multicounter_reference(const seq::AddressTrace& 
   const auto cp = build_multi_srag(b, *col_map.config, next, reset);
   b.output_bus("rs", rp.select);
   b.output_bus("cs", cp.select);
-  return rc;
+  return {std::move(rc), ""};
 }
 
-std::optional<ReferenceCircuit> sfm_reference(const seq::AddressTrace& trace,
-                                              const ExploreOptions&) {
-  if (!is_fifo(trace)) return std::nullopt;
-  ReferenceCircuit rc;
-  rc.netlist = elaborate_sfm(trace.geometry().size());
-  rc.drive = {{"next_read", true}, {"next_write", false}};
-  rc.row_bus = "rsel";  // head pointer walks the FIFO order = linear trace
-  rc.col_bus.clear();
-  return rc;
+GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
+                           std::string note) {
+  return {std::move(name), always,
+          [style, note](const seq::AddressTrace& trace,
+                        const ExploreOptions& opt) -> CandidateBuild {
+            CntAgOptions copt;
+            copt.decoder_style = style;
+            copt.minimize = opt.minimize;
+            return {ReferenceCircuit{elaborate_cntag(trace, copt)}, note};
+          }};
+}
+
+GeneratorEntry fsm_entry(std::string name, synth::FsmEncoding enc) {
+  return {std::move(name),
+          [](const seq::AddressTrace&, const ExploreOptions& opt) { return opt.include_fsm; },
+          [enc](const seq::AddressTrace& trace, const ExploreOptions& opt) -> CandidateBuild {
+            if (trace.length() > opt.max_fsm_states) {
+              return {std::nullopt, "synthesis impractical beyond " +
+                                        std::to_string(opt.max_fsm_states) +
+                                        " states (sequence has " +
+                                        std::to_string(trace.length()) + ")"};
+            }
+            return {ReferenceCircuit{elaborate_fsm_2d(trace, enc, opt.minimize)}, ""};
+          }};
+}
+
+CandidateBuild build_sfm(const seq::AddressTrace& trace, const ExploreOptions&) {
+  if (!is_fifo(trace)) return {std::nullopt, "SFM supports FIFO access only"};
+  // The head pointer walks the FIFO order, i.e. the linear trace.
+  return {ReferenceCircuit{elaborate_sfm(trace.geometry().size()),
+                           {{"next_read", true}, {"next_write", false}},
+                           "rsel",
+                           ""},
+          "one-hot FIFO pointers (1-D memory)"};
 }
 
 std::vector<GeneratorEntry> build_registry() {
-  std::vector<GeneratorEntry> reg;
-  reg.push_back({"SRAG", always, elaborate_srag_point, srag_reference});
-  reg.push_back({"SRAG-multicounter", always, elaborate_multicounter_point,
-                 multicounter_reference});
-  reg.push_back(cntag_entry("CntAG-flat", synth::DecoderStyle::Flat, "flat decoders"));
-  reg.push_back(cntag_entry("CntAG-shared", synth::DecoderStyle::SharedChain,
-                            "shared chain decoders (2002 flow)"));
-  reg.push_back(cntag_entry("CntAG-predecoded", synth::DecoderStyle::SharedBalanced,
-                            "balanced predecoders (modern flow)"));
-  reg.push_back(fsm_entry("FSM-binary", synth::FsmEncoding::Binary));
-  reg.push_back(fsm_entry("FSM-gray", synth::FsmEncoding::Gray));
-  reg.push_back(fsm_entry("FSM-onehot", synth::FsmEncoding::OneHot));
-  reg.push_back({"SFM", always, elaborate_sfm_point, sfm_reference});
+  std::vector<GeneratorEntry> reg = {
+      {"SRAG", always, build_srag},
+      {"SRAG-multicounter", always, build_multicounter},
+      cntag_entry("CntAG-flat", synth::DecoderStyle::Flat, "flat decoders"),
+      cntag_entry("CntAG-shared", synth::DecoderStyle::SharedChain,
+                  "shared chain decoders (2002 flow)"),
+      cntag_entry("CntAG-predecoded", synth::DecoderStyle::SharedBalanced,
+                  "balanced predecoders (modern flow)"),
+      fsm_entry("FSM-binary", synth::FsmEncoding::Binary),
+      fsm_entry("FSM-gray", synth::FsmEncoding::Gray),
+      fsm_entry("FSM-onehot", synth::FsmEncoding::OneHot),
+      {"SFM", always, build_sfm},
+  };
+  // One adapter for every entry, so `reference` cannot drift from `build`.
+  for (GeneratorEntry& e : reg)
+    e.reference = [build = e.build](const seq::AddressTrace& trace,
+                                    const ExploreOptions& opt) {
+      return build(trace, opt).circuit;
+    };
   return reg;
 }
 
@@ -247,6 +163,19 @@ std::vector<std::string> generator_names() {
   std::vector<std::string> names;
   for (const GeneratorEntry& e : generator_registry()) names.push_back(e.name);
   return names;
+}
+
+DesignPoint evaluate_generator(const GeneratorEntry& e, const seq::AddressTrace& trace,
+                               const ExploreOptions& opt) {
+  CandidateBuild b = e.build(trace, opt);
+  DesignPoint p;
+  p.architecture = e.name;
+  p.note = std::move(b.note);
+  if (b.circuit) {
+    p.metrics = measure_netlist(b.circuit->netlist, opt.library, opt.max_fanout);
+    p.feasible = true;
+  }
+  return p;
 }
 
 std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
@@ -291,7 +220,7 @@ std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
   std::vector<std::exception_ptr> errors(selected.size());
   auto run_one = [&](std::size_t i) {
     try {
-      points[i] = selected[i]->elaborate(trace, opt);
+      points[i] = evaluate_generator(*selected[i], trace, opt);
     } catch (...) {
       errors[i] = std::current_exception();
     }
@@ -322,9 +251,14 @@ std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
   // Runs after the parallel section on the calling thread, annotating notes
   // deterministically — the result stays a pure function of (trace, opt),
   // and the flag is fingerprinted so annotated and plain runs never share
-  // cache keys.
+  // cache keys.  Front points are rebuilt, not kept from the evaluation
+  // above: holding every measured netlist until the front is known costs
+  // peak memory, and build is pure, so a feasible point rebuilds to the
+  // circuit that was measured.
   if (opt.verify_front)
-    verify_pareto_points(trace, points, pareto_front(points), opt);
+    for (std::size_t i : pareto_front(points))
+      points[i].note +=
+          verify_verdict(selected[i]->build(trace, opt).circuit.value(), trace);
   return points;
 }
 

@@ -71,11 +71,11 @@ struct ExploreOptions {
   /// split_threads so outer × inner never exceeds its thread budget.
   std::size_t arch_threads = 1;
   /// Gate-level verification of the Pareto front (core/verify.hpp): every
-  /// front point is re-elaborated and its netlist replayed against the
-  /// trace in the 64-lane word simulator; the verdict is appended to the
-  /// point's note.  Output-affecting, so it is fingerprinted — but only
-  /// when enabled, keeping default-options fingerprints (and thus existing
-  /// cache directories and reports) pinned.
+  /// front point is rebuilt through its registry entry and its netlist
+  /// replayed against the trace in the 64-lane word simulator; the verdict
+  /// is appended to the point's note.  Output-affecting, so it is
+  /// fingerprinted — but only when enabled, keeping default-options
+  /// fingerprints (and thus existing cache directories and reports) pinned.
   bool verify_front = false;
   /// Two-level minimizer used inside FSM and CntAG elaboration
   /// (logic/minimize.hpp).  The default (Isop) reproduces the historical
@@ -97,12 +97,12 @@ struct ExploreOptions {
   bool compress_periodic = false;
 };
 
-/// A candidate's netlist re-elaborated for gate-level verification, plus the
-/// replay recipe: after one reset cycle with `drive` inputs applied, the
-/// asserted line of `row_bus` (and `col_bus`, when present) must track the
-/// trace's row/column address sequence cycle by cycle.  With an empty
-/// `col_bus` the single bus is checked against the linear address sequence
-/// (1-D generators such as the SFM).
+/// A candidate's unmeasured netlist plus its replay recipe: after one reset
+/// cycle with `drive` inputs applied, the asserted line of `row_bus` (and
+/// `col_bus`, when present) must track the trace's row/column address
+/// sequence cycle by cycle.  With an empty `col_bus` the single bus is
+/// checked against the linear address sequence (1-D generators such as the
+/// SFM).
 struct ReferenceCircuit {
   netlist::Netlist netlist;
   /// Inputs held for the whole replay once "reset" is released.
@@ -111,11 +111,16 @@ struct ReferenceCircuit {
   std::string col_bus = "cs";
 };
 
-/// One self-describing candidate architecture in the registry.  Both
+/// What a registry entry builds for one trace: the candidate's circuit and
+/// its config summary, or — with no circuit — the reason it is infeasible.
+struct CandidateBuild {
+  std::optional<ReferenceCircuit> circuit;
+  std::string note;  ///< config summary when feasible, reason when infeasible
+};
+
+/// One self-describing candidate architecture in the registry.  The
 /// callables are pure functions of their arguments and thread-safe for
-/// concurrent invocation; `elaborate` returns an infeasible point (never
-/// throws) for per-candidate rejection, and throws only for degenerate
-/// traces that no candidate could process.
+/// concurrent invocation.
 struct GeneratorEntry {
   /// Stable label; doubles as the `archs` filter key and the report value.
   std::string name;
@@ -124,15 +129,16 @@ struct GeneratorEntry {
   /// NOT applicability: an over-budget FSM or a non-FIFO SFM stays
   /// applicable and reports an infeasible point.
   std::function<bool(const seq::AddressTrace&, const ExploreOptions&)> applicable;
-  /// Maps + elaborates + measures the candidate for `trace`.
-  std::function<DesignPoint(const seq::AddressTrace&, const ExploreOptions&)> elaborate;
-  /// Re-elaborates the candidate netlist for gate-level verification
-  /// (ExploreOptions::verify_front); nullopt when the candidate is
-  /// infeasible for `trace`.  Pure and thread-safe like the other
-  /// callables.
+  /// Maps and elaborates the candidate for `trace`, unmeasured: the one
+  /// constructor of its netlist, for measurement and for front replay.
+  /// Per-candidate rejection is a build without a circuit; throws only for
+  /// degenerate traces that no candidate could process.
+  std::function<CandidateBuild(const seq::AddressTrace&, const ExploreOptions&)> build;
+  /// `build(trace, opt).circuit`, for callers that replay a candidate
+  /// without measuring it.  The registry sets it for every entry.
   std::function<std::optional<ReferenceCircuit>(const seq::AddressTrace&,
                                                 const ExploreOptions&)>
-      reference;
+      reference = {};
 };
 
 /// The stable-ordered candidate table.  The order is part of the output
@@ -145,6 +151,11 @@ const std::vector<GeneratorEntry>& generator_registry();
 
 /// Registry names, in registry order — the valid `archs` values.
 std::vector<std::string> generator_names();
+
+/// Builds `e`'s candidate for `trace` and measures it (core/metrics.hpp):
+/// the DesignPoint explore_generators reports for that entry.
+DesignPoint evaluate_generator(const GeneratorEntry& e, const seq::AddressTrace& trace,
+                               const ExploreOptions& opt);
 
 /// Evaluates every applicable candidate architecture for `trace` and
 /// returns one DesignPoint per candidate, in registry order.

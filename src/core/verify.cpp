@@ -87,41 +87,11 @@ std::optional<std::string> verify_reference_against_trace(
   return std::nullopt;
 }
 
-FrontVerification verify_pareto_points(const seq::AddressTrace& trace,
-                                       std::vector<DesignPoint>& points,
-                                       const std::vector<std::size_t>& front,
-                                       const ExploreOptions& opt) {
-  FrontVerification tally;
-  for (std::size_t idx : front) {
-    DesignPoint& p = points[idx];
-
-    const GeneratorEntry* entry = nullptr;
-    for (const GeneratorEntry& e : generator_registry())
-      if (e.name == p.architecture) {
-        entry = &e;
-        break;
-      }
-
-    std::optional<ReferenceCircuit> rc;
-    if (entry && entry->reference) rc = entry->reference(trace, opt);
-    if (!rc) {
-      // A feasible front point whose candidate cannot re-elaborate should
-      // not happen; record it visibly rather than passing it silently.
-      p.note += " [verify skipped: no reference netlist]";
-      ++tally.skipped;
-      continue;
-    }
-
-    if (auto err = verify_reference_against_trace(*rc, trace)) {
-      p.note += " [verify FAILED: " + *err + "]";
-      ++tally.failed;
-    } else {
-      p.note += " [verified: " + std::to_string(trace.length()) + " cycles x " +
-                std::to_string(sim::WordSimulator::kLanes) + " lanes]";
-      ++tally.verified;
-    }
-  }
-  return tally;
+std::string verify_verdict(const ReferenceCircuit& rc, const seq::AddressTrace& trace) {
+  if (auto err = verify_reference_against_trace(rc, trace))
+    return " [verify FAILED: " + *err + "]";
+  return " [verified: " + std::to_string(trace.length()) + " cycles x " +
+         std::to_string(WordSimulator::kLanes) + " lanes]";
 }
 
 }  // namespace addm::core

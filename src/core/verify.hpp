@@ -4,32 +4,23 @@
 // the levelized 64-lane simulator it is cheap enough to run over every
 // Pareto point of every explored trace.
 //
-// For each Pareto-front design point the candidate's netlist is
-// re-elaborated (GeneratorEntry::reference) and replayed against the trace
-// in sim::WordSimulator with the stimulus replicated into all 64 lanes: at
-// every cycle the expected select line must be asserted in ALL lanes and
-// every other line in none, so one replay checks both functional
+// For each Pareto-front design point the candidate's netlist is rebuilt
+// through its registry entry (GeneratorEntry::build) and replayed against
+// the trace in sim::WordSimulator with the stimulus replicated into all 64
+// lanes: at every cycle the expected select line must be asserted in ALL
+// lanes and every other line in none, so one replay checks both functional
 // correctness and lane coherence.  The verdict is appended to the point's
 // note — deterministically, so annotated results memoize, cache and shard
 // exactly like plain ones.
 #pragma once
 
-#include <cstddef>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/explorer.hpp"
 #include "seq/trace.hpp"
 
 namespace addm::core {
-
-/// Tally of one trace's front verification.
-struct FrontVerification {
-  std::size_t verified = 0;  ///< points whose replay matched the trace
-  std::size_t failed = 0;    ///< points whose replay diverged
-  std::size_t skipped = 0;   ///< points without a reference recipe
-};
 
 /// Replays `trace` through `rc`'s netlist (one reset cycle, then one cycle
 /// per access) and checks the select buses against the trace's address
@@ -38,13 +29,9 @@ struct FrontVerification {
 std::optional<std::string> verify_reference_against_trace(
     const ReferenceCircuit& rc, const seq::AddressTrace& trace);
 
-/// Verifies every point of `front` (indices into `points`) and appends
-/// " [verified: ...]" / " [verify FAILED: ...]" to the point notes.
-/// Deterministic: the annotations are a pure function of (trace, points,
-/// front, opt).
-FrontVerification verify_pareto_points(const seq::AddressTrace& trace,
-                                       std::vector<DesignPoint>& points,
-                                       const std::vector<std::size_t>& front,
-                                       const ExploreOptions& opt);
+/// The note suffix for a front point whose candidate rebuilt as `rc`:
+/// " [verified: N cycles x 64 lanes]" or " [verify FAILED: <diagnostic>]".
+/// Deterministic: a pure function of (rc, trace).
+std::string verify_verdict(const ReferenceCircuit& rc, const seq::AddressTrace& trace);
 
 }  // namespace addm::core

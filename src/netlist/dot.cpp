@@ -18,7 +18,7 @@ std::string to_dot(const Netlist& nl, const std::string& graph_name) {
     if (n == kConst0) return "const0";
     if (n == kConst1) return "const1";
     if (nl.is_primary_input(n)) return "pi" + std::to_string(n);
-    if (auto d = nl.driver_of(n)) return "c" + std::to_string(*d);
+    if (auto d = nl.driver_of(n)) return std::string("c").append(std::to_string(*d));
     return "undriven" + std::to_string(n);
   };
   bool used_c0 = false, used_c1 = false;

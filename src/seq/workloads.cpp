@@ -127,8 +127,8 @@ std::vector<AddressTrace> standard_suite(ArrayGeometry g) {
   if (g.width < 4 || g.height < 4 || g.width % 2 != 0 || g.height % 2 != 0)
     throw std::invalid_argument(
         "standard_suite: geometry must be even and at least 4x4");
-  const std::string suffix =
-      "_" + std::to_string(g.width) + "x" + std::to_string(g.height);
+  const std::string suffix = std::string("_").append(std::to_string(g.width)) + "x" +
+                             std::to_string(g.height);
 
   std::vector<AddressTrace> suite;
   MotionEstimationParams me;

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/explore_option_table.hpp"
+
 namespace addm::serve {
 
 namespace {
@@ -130,108 +132,11 @@ std::string encode_explore_request(const ExploreRequest& req) {
   return out;
 }
 
-bool apply_explore_option(core::ExploreOptions& opt, std::string_view key,
-                          std::string_view value, std::string& error) {
-  auto flag = [&](bool& ok) {
-    ok = value.empty();
-    if (!ok) error = "option '" + std::string(key) + "' takes no value";
-    return ok;
-  };
-  auto need_value = [&]() {
-    if (!value.empty()) return true;
-    error = "option '" + std::string(key) + "' requires a value";
-    return false;
-  };
-  if (key == "no-fsm") {
-    bool ok;
-    if (!flag(ok)) return false;
-    opt.include_fsm = false;
-    return true;
-  }
-  if (key == "verify-front") {
-    bool ok;
-    if (!flag(ok)) return false;
-    opt.verify_front = true;
-    return true;
-  }
-  if (key == "compress-periodic") {
-    bool ok;
-    if (!flag(ok)) return false;
-    opt.compress_periodic = true;
-    return true;
-  }
-  if (key == "max-fsm-states") {
-    std::uint64_t v = 0;
-    if (!need_value() || !parse_u64(value, v)) {
-      if (error.empty()) error = "max-fsm-states expects a number";
-      return false;
-    }
-    opt.max_fsm_states = static_cast<std::size_t>(v);
-    return true;
-  }
-  if (key == "max-fanout") {
-    std::uint64_t v = 0;
-    if (!need_value() || !parse_u64(value, v) || v == 0 || v > INT32_MAX) {
-      if (error.empty()) error = "max-fanout expects a positive number";
-      return false;
-    }
-    opt.max_fanout = static_cast<int>(v);
-    return true;
-  }
-  if (key == "espresso-threshold") {
-    std::uint64_t v = 0;
-    if (!need_value() || !parse_u64(value, v) || v == 0 || v > 24) {
-      if (error.empty()) error = "espresso-threshold expects 1..24";
-      return false;
-    }
-    opt.minimize.heuristic_min_vars = static_cast<int>(v);
-    return true;
-  }
-  if (key == "minimizer") {
-    if (!need_value()) return false;
-    using logic::MinimizerAlgo;
-    if (value == "isop") opt.minimize.algo = MinimizerAlgo::Isop;
-    else if (value == "exact") opt.minimize.algo = MinimizerAlgo::Exact;
-    else if (value == "espresso") opt.minimize.algo = MinimizerAlgo::Espresso;
-    else if (value == "auto") opt.minimize.algo = MinimizerAlgo::Auto;
-    else {
-      error = "minimizer must be isop, exact, espresso or auto";
-      return false;
-    }
-    return true;
-  }
-  if (key == "archs") {
-    if (!need_value()) return false;
-    const std::vector<std::string> known = core::generator_names();
-    std::size_t added = 0;
-    std::size_t pos = 0;
-    while (pos <= value.size()) {
-      const std::size_t comma = std::min(value.find(',', pos), value.size());
-      const std::string name(value.substr(pos, comma - pos));
-      pos = comma + 1;
-      if (name.empty()) continue;
-      if (std::find(known.begin(), known.end(), name) == known.end()) {
-        error = "archs: unknown architecture '" + name + "'";
-        return false;
-      }
-      opt.archs.push_back(name);
-      ++added;
-    }
-    if (added == 0) {
-      error = "archs expects a comma-separated list of names";
-      return false;
-    }
-    return true;
-  }
-  error = "unknown option '" + std::string(key) + "'";
-  return false;
-}
-
 bool build_explore_options(const ExploreRequest& req, core::ExploreOptions& opt,
                            std::string& error) {
   opt = core::ExploreOptions{};
   for (const auto& [key, value] : req.options)
-    if (!apply_explore_option(opt, key, value, error)) return false;
+    if (!core::apply_explore_option(opt, key, value, error)) return false;
   return true;
 }
 
@@ -297,7 +202,7 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
       // Validate eagerly against a scratch options object so a bad request
       // fails at parse time, before any trace I/O.
       core::ExploreOptions scratch;
-      if (!apply_explore_option(scratch, key, value, error)) return false;
+      if (!core::apply_explore_option(scratch, key, value, error)) return false;
       out.options.emplace_back(key, value);
     } else if (word == "trace") {
       const std::size_t sp2 = std::min(rest.find(' '), rest.size());
@@ -698,7 +603,7 @@ bool json_option(const std::string& key, const JsonValue& v,
       return false;
   }
   core::ExploreOptions scratch;
-  if (!apply_explore_option(scratch, key, value, error)) return false;
+  if (!core::apply_explore_option(scratch, key, value, error)) return false;
   req.options.emplace_back(key, value);
   return true;
 }

@@ -76,7 +76,7 @@ TEST(RegistryDeterminism, ShuffledExecutionOrderYieldsRegistryOrder) {
     std::shuffle(order.begin(), order.end(), rng);
     std::vector<DesignPoint> points(applicable.size());
     for (std::size_t slot : order)
-      points[slot] = registry[applicable[slot]].elaborate(trace, opt);
+      points[slot] = evaluate_generator(registry[applicable[slot]], trace, opt);
     expect_points_equal(driver_points, points, "shuffle round " + std::to_string(round));
     for (std::size_t slot = 0; slot < applicable.size(); ++slot)
       EXPECT_EQ(driver_points[slot].architecture, registry[applicable[slot]].name);

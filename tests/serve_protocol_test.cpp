@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/explore_option_table.hpp"
 #include "core/fingerprint.hpp"
 #include "serve/protocol.hpp"
 
@@ -239,6 +240,7 @@ TEST(ServeOptions, DefaultRequestYieldsDefaultOptions) {
 }
 
 TEST(ServeOptions, AppliesEveryKey) {
+  using core::apply_explore_option;
   core::ExploreOptions opt;
   std::string error;
   EXPECT_TRUE(apply_explore_option(opt, "no-fsm", "", error));
@@ -262,6 +264,59 @@ TEST(ServeOptions, AppliesEveryKey) {
   EXPECT_FALSE(apply_explore_option(opt, "espresso-threshold", "25", error));
   EXPECT_FALSE(apply_explore_option(opt, "minimizer", "magic", error));
   EXPECT_FALSE(apply_explore_option(opt, "threads", "4", error));
+
+  // One verdict per value on every surface: the core table, the binary
+  // request grammar and the JSON-lines parser accept or reject each value
+  // alike, and an accepted value yields the same options everywhere.
+  struct Case {
+    const char* key;
+    const char* value;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"max-fanout", "1", false},
+      {"max-fanout", "2", true},
+      {"max-fanout", "2147483647", true},
+      {"max-fanout", "2147483648", false},
+      {"max-fanout", "4294967298", false},
+      {"max-fanout", "", false},
+      {"espresso-threshold", "0", false},
+      {"espresso-threshold", "1", true},
+      {"espresso-threshold", "24", true},
+      {"espresso-threshold", "25", false},
+      {"max-fsm-states", "0", true},
+      {"max-fsm-states", "-1", false},
+      {"minimizer", "auto", true},
+      {"minimizer", "magic", false},
+      {"archs", "SRAG-multicounter,,SFM", true},
+      {"archs", "SRAG,NoSuchArch", false},
+      {"archs", ",", false},
+      {"no-fsm", "", true},
+      {"no-fsm", "yes", false},
+      {"verify-front", "1", false},
+      {"compress-periodic", "true", false},
+      {"threads", "4", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.key) + " '" + c.value + "'");
+    core::ExploreOptions direct;
+    EXPECT_EQ(apply_explore_option(direct, c.key, c.value, error), c.ok) << error;
+
+    ExploreRequest req;
+    req.suite_scales = 1;
+    req.options = {{c.key, c.value}};
+    ExploreRequest binary;
+    EXPECT_EQ(parse_explore_request(encode_explore_request(req), binary, error), c.ok)
+        << error;
+    JsonRequest json;
+    EXPECT_EQ(parse_json_request(json_explore_request(req), json, error), c.ok) << error;
+    if (!c.ok) continue;
+    for (const ExploreRequest* parsed : {&binary, &json.explore}) {
+      core::ExploreOptions served;
+      ASSERT_TRUE(build_explore_options(*parsed, served, error)) << error;
+      EXPECT_EQ(core::options_fingerprint(served), core::options_fingerprint(direct));
+    }
+  }
 }
 
 TEST(ServeSummary, DoneRoundTrip) {

@@ -249,6 +249,19 @@ TEST(ServeServer, BadRequestsGetFramedErrorsAndConnectionSurvives) {
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.error.code, "bad-request");
 
+  // Option values the exploration-option table rejects never reach the
+  // explorer, on either wire.
+  ServeClient json = ts.connect(/*json=*/true);
+  for (const char* fanout : {"1", "4294967298"}) {
+    ExploreRequest bad = suite_request();
+    bad.options = {{"max-fanout", fanout}};
+    for (ServeClient* c : {&client, &json}) {
+      ASSERT_TRUE(c->explore(bad, result, error)) << error;
+      EXPECT_FALSE(result.ok) << fanout;
+      EXPECT_EQ(result.error.code, "bad-request") << fanout;
+    }
+  }
+
   ExploreRequest missing = suite_request(0);
   TraceSource t;
   t.kind = TraceSource::Kind::kPath;

@@ -11,6 +11,7 @@
 #     mode all match their offline equivalents,
 #   - admin stats/flush/compact work and leave a directory that
 #     addm_cache verify-checksums calls clean,
+#   - addm_explore and addm_client reject the same bad option values (exit 2),
 #   - SIGTERM drains and exits 0,
 #   - the TCP transport (--listen/--port-file) serves the same bytes.
 set -u
@@ -57,6 +58,19 @@ wait_for_ping() {
 "$SERVE" --socket "$SOCK" --cache-dir cache --quiet &
 DAEMON_PID=$!
 wait_for_ping --socket "$SOCK" || fail "daemon never answered ping"
+
+# ---- option validation: one table, one verdict ---------------------------
+# Both CLIs reject a fan-out insert_buffers cannot honour, and one that does
+# not fit an int, as usage errors (exit 2) before any exploration; the
+# client never forwards such a request to the daemon.
+for v in 1 4294967298; do
+  "$EXPLORE" --suite 1 --quiet --max-fanout "$v" --out bad.csv 2>/dev/null
+  RC=$?
+  [ "$RC" -eq 2 ] || fail "addm_explore --max-fanout $v exit code $RC (want 2)"
+  "$CLIENT" --socket "$SOCK" --suite 1 --quiet --max-fanout "$v" 2>/dev/null
+  RC=$?
+  [ "$RC" -eq 2 ] || fail "addm_client --max-fanout $v exit code $RC (want 2)"
+done
 
 # Cold request, then the same request again (memo-served): both must be
 # byte-identical to offline addm_explore.

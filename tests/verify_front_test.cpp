@@ -175,6 +175,34 @@ TEST(VerifyFront, GateMutantsOfRealReferencesFailAtTheScalarCycle) {
   }
 }
 
+TEST(VerifyFront, SweptAndBufferedCandidatesStillReplayTheTrace) {
+  // measure_netlist sweeps dead cells and inserts buffer trees in place,
+  // and --verify-front replays the build from before both.  So neither step
+  // may change what a candidate computes: every feasible build of every
+  // registry entry, measured at the tightest and at the default fan-out,
+  // must still replay its trace.
+  const auto traces = seq::scaled_suite({8, 8}, 3);
+  for (int fanout : {2, 12}) {
+    SCOPED_TRACE("max_fanout " + std::to_string(fanout));
+    ExploreOptions opt;
+    opt.max_fanout = fanout;
+    std::size_t measured = 0, buffers = 0;
+    for (const seq::AddressTrace& trace : traces) {
+      for (const GeneratorEntry& e : generator_registry()) {
+        if (!e.applicable(trace, opt)) continue;
+        CandidateBuild b = e.build(trace, opt);
+        if (!b.circuit) continue;
+        buffers += measure_netlist(b.circuit->netlist, opt.library, fanout).buffers_added;
+        EXPECT_EQ(verify_reference_against_trace(*b.circuit, trace), std::nullopt)
+            << e.name << " on " << trace.name();
+        ++measured;
+      }
+    }
+    EXPECT_GT(measured, traces.size());
+    EXPECT_GT(buffers, 0u);
+  }
+}
+
 TEST(VerifyFront, FingerprintPinnedWhenDisabledDistinctWhenEnabled) {
   const ExploreOptions def;
   ExploreOptions off;

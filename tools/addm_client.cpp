@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "cli_util.hpp"
-#include "core/explorer.hpp"
 #include "serve/client.hpp"
 
 namespace {
@@ -55,16 +54,8 @@ void usage(const char* argv0) {
       << "                       inline (repeatable; for daemons that cannot\n"
       << "                       see this filesystem path)\n"
       << "\n"
-      << "explore options (same semantics as addm_explore):\n"
-      << "  --archs a,b,...      only these candidate architectures\n"
-      << "  --no-fsm             skip symbolic-FSM candidates\n"
-      << "  --max-fsm-states N   FSM feasibility cap\n"
-      << "  --max-fanout N       buffering fanout limit\n"
-      << "  --minimizer M        isop, espresso, exact, or auto\n"
-      << "  --espresso-threshold N\n"
-      << "                       auto-minimizer variable threshold (1..24)\n"
-      << "  --verify-front       gate-level-verify every Pareto point\n"
-      << "  --compress-periodic  evaluate periodic traces on one period\n"
+      << "explore options (as in addm_explore):\n"
+      << addm::tools::explore_options_usage()
       << "\n"
       << "output:\n"
       << "  --format csv|json    report format (default csv)\n"
@@ -90,6 +81,7 @@ int main(int argc, char** argv) {
   bool quiet = false;
 
   ExploreRequest req;
+  addm::core::ExploreOptions explore_opt;  // validates req.options as they come
   std::string mode;  // "", "ping", "admin"
   std::vector<std::string> admin_args;
   bool have_input = false;
@@ -106,9 +98,6 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
-    };
-    auto add_option = [&](const char* key, std::string value = {}) {
-      req.options.emplace_back(key, std::move(value));
     };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
@@ -161,22 +150,9 @@ int main(int argc, char** argv) {
       t.data = data.str();
       req.traces.push_back(std::move(t));
       have_input = true;
-    } else if (arg == "--archs") {
-      add_option("archs", need_value());
-    } else if (arg == "--no-fsm") {
-      add_option("no-fsm");
-    } else if (arg == "--verify-front") {
-      add_option("verify-front");
-    } else if (arg == "--compress-periodic") {
-      add_option("compress-periodic");
-    } else if (arg == "--max-fsm-states") {
-      add_option("max-fsm-states", need_value());
-    } else if (arg == "--max-fanout") {
-      add_option("max-fanout", need_value());
-    } else if (arg == "--minimizer") {
-      add_option("minimizer", need_value());
-    } else if (arg == "--espresso-threshold") {
-      add_option("espresso-threshold", need_value());
+    } else if (auto option =
+                   addm::tools::take_explore_option(argc, argv, i, explore_opt)) {
+      req.options.push_back(std::move(*option));
     } else if (arg == "--format") {
       req.format = need_value();
       if (req.format != "csv" && req.format != "json") {
@@ -220,21 +196,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Validate the exploration options locally so usage errors stay exit 2
-  // and never reach the daemon.
-  if (mode.empty()) {
-    if (!have_input) {
-      std::cerr << argv[0]
-                << ": no input traces (use --suite, --trace or --send-trace)\n";
-      usage(argv[0]);
-      return 2;
-    }
-    addm::core::ExploreOptions scratch;
-    std::string why;
-    if (!addm::serve::build_explore_options(req, scratch, why)) {
-      std::cerr << argv[0] << ": " << why << "\n";
-      return 2;
-    }
+  if (mode.empty() && !have_input) {
+    std::cerr << argv[0] << ": no input traces (use --suite, --trace or --send-trace)\n";
+    usage(argv[0]);
+    return 2;
   }
 
   std::string admin_command;

@@ -7,10 +7,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "core/explore_option_table.hpp"
 #include "seq/trace.hpp"
 
 namespace addm::tools {
@@ -108,6 +112,48 @@ inline bool parse_shard(const char* s, ShardSpec& out) {
   out.index = iv;
   out.count = nv;
   return true;
+}
+
+/// --help lines for the exploration-option table (core/explore_option_table),
+/// in the tools' two-column layout: descriptions start at column 23, on the
+/// next line when the flag and placeholder do not fit before it.
+inline std::string explore_options_usage() {
+  constexpr std::size_t kColumn = 23;
+  std::string out;
+  for (const core::ExploreOptionSpec& o : core::explore_option_table()) {
+    std::string flag = "  --" + o.key;
+    if (!o.placeholder.empty()) flag += " " + o.placeholder;
+    out += flag;
+    if (flag.size() >= kColumn) out += '\n';
+    out.append(flag.size() < kColumn ? kColumn - flag.size() : kColumn, ' ');
+    for (char c : o.help) {
+      out += c;
+      if (c == '\n') out.append(kColumn, ' ');
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+/// When argv[i] is `--KEY` for a row of the exploration-option table,
+/// consumes it and its value (if the key takes one), validates and applies
+/// them to `opt` through the table, and returns {KEY, VALUE}; nullopt for
+/// any other argument.  A missing or rejected value exits 2 with a
+/// diagnostic, the same verdict the daemon gives that key and value.
+inline std::optional<std::pair<std::string, std::string>> take_explore_option(
+    int argc, char** argv, int& i, core::ExploreOptions& opt) {
+  const std::string_view arg = argv[i];
+  if (arg.substr(0, 2) != "--") return std::nullopt;
+  const core::ExploreOptionSpec* o = core::find_explore_option(arg.substr(2));
+  if (!o) return std::nullopt;
+  std::string value;
+  if (!o->placeholder.empty() && i + 1 < argc) value = argv[++i];
+  std::string why;
+  if (!core::apply_explore_option(opt, o->key, value, why)) {
+    std::cerr << argv[0] << ": --" << why << "\n";
+    std::exit(2);
+  }
+  return std::pair{o->key, std::move(value)};
 }
 
 }  // namespace addm::tools
