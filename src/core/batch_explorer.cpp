@@ -21,6 +21,10 @@ namespace addm::core {
 
 namespace {
 
+/// Warm-start hit counts per (trace, options) cache key; std::map iterates
+/// in key order, so hit records are written deterministically.
+using HitCounts = std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>;
+
 /// What one exploration produces. Cache entries and racing waiters share one
 /// immutable Outcome (recompute avoidance); each BatchEntry then takes its
 /// own copy of the vectors, keeping the public result type plain-value.
@@ -101,7 +105,7 @@ struct BatchExplorer::Impl {
   /// queued twice across runs.
   std::vector<EvalCacheEntry> pending_entries;
   std::unordered_set<std::uint64_t> pending_keys;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> pending_hits;
+  HitCounts pending_hits;
   /// Serializes every write this process makes to the cache directory
   /// (store_batch, record_hits, budget prune): the eval-cache maintenance
   /// operations assume no concurrent writer, and the serve daemon calls
@@ -113,6 +117,31 @@ namespace {
 
 std::uint64_t combined_key(std::uint64_t trace_fp, std::uint64_t opt_fp) {
   return trace_fp ^ (opt_fp << 1 | opt_fp >> 63);
+}
+
+// The one write path into the cache directory: stores `batch` under one
+// insertion generation, credits `hits` to their entries (prune's eviction
+// priority feeds on them), then prunes the directory back under the byte
+// budget when one is set.  The caller holds flush_mu.
+BatchExplorer::FlushStats write_cache(const BatchOptions& opt,
+                                      const std::vector<EvalCacheEntry>& batch,
+                                      const HitCounts& hits) {
+  BatchExplorer::FlushStats stats;
+  EvalCacheDir store(opt.cache_dir);
+  if (!batch.empty()) stats.stored = store.store_batch(batch);
+  if (!hits.empty()) {
+    std::vector<std::pair<EvalCacheKey, std::uint64_t>> credit;
+    credit.reserve(hits.size());
+    for (const auto& [key, count] : hits)
+      credit.push_back({{key.first, key.second}, count});
+    store.record_hits(credit);
+  }
+  if (opt.cache_budget_bytes != 0) {
+    const EvalCacheDir::MaintenanceStats pruned =
+        store.prune(UINT64_MAX, opt.cache_budget_bytes);
+    if (pruned.ok) stats.evicted = pruned.evicted;
+  }
+  return stats;
 }
 
 }  // namespace
@@ -138,34 +167,19 @@ std::size_t BatchExplorer::pending_flush() const {
 }
 
 BatchExplorer::FlushStats BatchExplorer::flush_disk() {
-  FlushStats stats;
-  if (opt_.cache_dir.empty() || !opt_.memoize) return stats;
+  if (opt_.cache_dir.empty() || !opt_.memoize) return {};
   // One writer at a time: flush_mu serializes this process's store/record/
   // prune sequence so the budget prune never runs under a concurrent write.
   std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
   std::vector<EvalCacheEntry> batch;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> hits;
+  HitCounts hits;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     batch.swap(impl_->pending_entries);
     impl_->pending_keys.clear();
     hits.swap(impl_->pending_hits);
   }
-  EvalCacheDir store(opt_.cache_dir);
-  if (!batch.empty()) stats.stored = store.store_batch(batch);
-  if (!hits.empty()) {
-    std::vector<std::pair<EvalCacheKey, std::uint64_t>> credit;
-    credit.reserve(hits.size());
-    for (const auto& [key, count] : hits)
-      credit.push_back({{key.first, key.second}, count});
-    store.record_hits(credit);
-  }
-  if (opt_.cache_budget_bytes != 0 && (stats.stored != 0 || !hits.empty())) {
-    const EvalCacheDir::MaintenanceStats pruned =
-        store.prune(UINT64_MAX, opt_.cache_budget_bytes);
-    if (pruned.ok) stats.evicted = pruned.evicted;
-  }
-  return stats;
+  return write_cache(opt_, batch, hits);
 }
 
 BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces) {
@@ -229,10 +243,10 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   std::size_t cache_hits = 0;
   std::size_t disk_hits = 0;
   /// Owner-evaluated successful outcomes, flushed to disk after the run.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const Outcome>>> fresh;
-  /// Per-trace-fingerprint disk-hit counts, credited to the persistent
-  /// cache after the run (std::map: deterministic iteration by key).
-  std::map<std::uint64_t, std::uint64_t> disk_hit_counts;
+  std::vector<EvalCacheEntry> fresh;
+  /// Disk-hit counts per cache key, credited to the persistent cache after
+  /// the run.
+  HitCounts disk_hit_counts;
 
   auto work = [&](std::size_t i) {
     const seq::AddressTrace& trace = traces[i];
@@ -270,12 +284,12 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
         std::lock_guard<std::mutex> lk(stats_mu);
         ++evaluations;
         if (use_disk && computed->error.empty())
-          fresh.emplace_back(entry.trace_hash, std::move(computed));
+          fresh.push_back({{entry.trace_hash, opt_fp}, computed->points, computed->pareto});
       } else {
         std::lock_guard<std::mutex> lk(stats_mu);
         if (from_disk) {
           ++disk_hits;
-          if (use_disk) ++disk_hit_counts[entry.trace_hash];
+          if (use_disk) ++disk_hit_counts[{entry.trace_hash, opt_fp}];
         } else {
           ++cache_hits;
         }
@@ -297,55 +311,22 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   // even *chosen* — in scheduling order, but store_batch writes the batch
   // in cache-key order under one insertion generation, so cache directories
   // (index.txt line order included) come out byte-identical at every thread
-  // split.  After the store, warm-start hits observed this run are credited
-  // to their entries (prune's eviction priority feeds on them), and when a
-  // byte budget is configured the directory is pruned back under it — the
-  // flush-time enforcement that keeps a bounded directory bounded.
+  // split.
   if (use_disk && opt_.defer_disk_flush) {
     // Daemon mode: queue this run's successes and hit counts for the next
     // flush_disk() instead of writing here, so a long-lived process decides
     // when (and under which lock) the directory is touched.
     std::lock_guard<std::mutex> lk(impl_->mu);
-    for (const auto& [trace_fp, outcome] : fresh) {
-      const std::uint64_t key = combined_key(trace_fp, opt_fp);
-      if (!impl_->pending_keys.insert(key).second) continue;
-      EvalCacheEntry e;
-      e.key = {trace_fp, opt_fp};
-      e.points = outcome->points;
-      e.pareto = outcome->pareto;
-      impl_->pending_entries.push_back(std::move(e));
-    }
-    for (const auto& [trace_fp, count] : disk_hit_counts)
-      impl_->pending_hits[{trace_fp, opt_fp}] += count;
+    for (EvalCacheEntry& e : fresh)
+      if (impl_->pending_keys.insert(combined_key(e.key.trace_hash, opt_fp)).second)
+        impl_->pending_entries.push_back(std::move(e));
+    for (const auto& [key, count] : disk_hit_counts) impl_->pending_hits[key] += count;
   } else if (use_disk) {
-    // flush_mu: concurrent run()s must not interleave their store/record/
-    // prune sequences (prune assumes no concurrent writer in-process too).
+    // flush_mu: concurrent run()s must not interleave their writes.
     std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
-    EvalCacheDir store(opt_.cache_dir);
-    if (!fresh.empty()) {
-      std::vector<EvalCacheEntry> batch;
-      batch.reserve(fresh.size());
-      for (const auto& [trace_fp, outcome] : fresh) {
-        EvalCacheEntry e;
-        e.key = {trace_fp, opt_fp};
-        e.points = outcome->points;
-        e.pareto = outcome->pareto;
-        batch.push_back(std::move(e));
-      }
-      result.disk_entries_stored = store.store_batch(batch);
-    }
-    if (!disk_hit_counts.empty()) {
-      std::vector<std::pair<EvalCacheKey, std::uint64_t>> hits;
-      hits.reserve(disk_hit_counts.size());
-      for (const auto& [trace_fp, count] : disk_hit_counts)
-        hits.push_back({{trace_fp, opt_fp}, count});
-      store.record_hits(hits);
-    }
-    if (opt_.cache_budget_bytes != 0) {
-      const EvalCacheDir::MaintenanceStats pruned =
-          store.prune(UINT64_MAX, opt_.cache_budget_bytes);
-      if (pruned.ok) result.disk_entries_evicted = pruned.evicted;
-    }
+    const FlushStats written = write_cache(opt_, fresh, disk_hit_counts);
+    result.disk_entries_stored = written.stored;
+    result.disk_entries_evicted = written.evicted;
   }
 
   result.evaluations = evaluations;

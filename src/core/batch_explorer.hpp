@@ -50,7 +50,8 @@ struct BatchOptions {
   /// ignored when memoization is disabled.
   std::string cache_dir;
   /// When non-zero, an on-disk size budget (total payload bytes) enforced
-  /// after each flush by pruning the cache directory in the deterministic
+  /// at every flush — run()'s own, or each flush_disk() call, even one with
+  /// nothing pending — by pruning the cache directory in the deterministic
   /// eviction order of EvalCacheDir::prune, so a bounded directory stays
   /// bounded across runs.  Lifecycle-only: it never affects results and is
   /// not fingerprinted.  Requires `cache_dir`.
@@ -136,7 +137,8 @@ class BatchExplorer {
   /// pending entry batch, credits pending warm-start hits, and — when
   /// cache_budget_bytes is set — prunes the directory back under budget.
   /// Serialized against itself (one writer at a time) and safe to call
-  /// concurrently with run()s; a no-op without a cache_dir or pending work.
+  /// concurrently with run()s; a no-op without a cache_dir, and without
+  /// pending work unless a budget is set.
   FlushStats flush_disk();
 
   /// Entries computed but not yet persisted (only grows when

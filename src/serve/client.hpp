@@ -1,11 +1,11 @@
 // Client side of the addm_serve protocol: one blocking connection, one
-// request/reply exchange per call.  Used by tools/addm_client, the
-// serve-throughput benchmark, and the in-process server tests.
+// request/reply exchange per call.  Used by tools/addm_client, perfbench,
+// and the in-process server tests.
 //
-// Two transports (Unix-domain path or TCP loopback) × two wire modes
-// (binary framing, default; JSON lines via set_json_mode) — the reply is
-// identical either way because both modes are views of the same request
-// model (serve/protocol.hpp).
+// Two transports (Unix-domain path or TCP loopback) × two codecs (binary
+// framing, default; JSON lines via set_json_mode) — the reply is identical
+// either way because both codecs carry the same request model
+// (serve/protocol.hpp).
 #pragma once
 
 #include <string>
@@ -27,8 +27,8 @@ class ServeClient {
     if (this != &other) {
       close();
       fd_ = other.fd_;
-      json_mode_ = other.json_mode_;
-      rbuf_ = std::move(other.rbuf_);
+      codec_ = other.codec_;
+      in_ = std::move(other.in_);
       other.fd_ = -1;
     }
     return *this;
@@ -45,23 +45,20 @@ class ServeClient {
   /// Switches this connection to the JSON-lines fallback mode.  Must be
   /// called before the first request (the server locks the mode onto the
   /// first byte it sees).
-  void set_json_mode(bool on) { json_mode_ = on; }
+  void set_json_mode(bool on) { codec_ = on ? &kJsonLineCodec : &kFrameCodec; }
 
   bool connected() const { return fd_ >= 0; }
 
-  /// Result of one request.  On ok, `body` is the full report (explore) or
-  /// the command output (admin); on !ok, `error` carries the server's
-  /// framed error.  Transport failures are reported separately through the
-  /// bool return + `transport_error`.
-  struct Result {
-    bool ok = false;
-    ErrorInfo error;
-    std::string body;
-    ExploreSummary summary;  ///< explore only
-  };
+  /// Result of one request (serve/protocol.hpp).  Transport failures are
+  /// reported separately through the bool return + `transport_error`.
+  using Result = Reply;
 
-  /// Runs one explore request to completion (streams every kChunk into
-  /// `out.body`).  Returns false only on a transport/protocol failure.
+  /// Sends one request and reads its whole reply (an explore report's
+  /// kChunk frames concatenated into `out.body`).  Returns false only on a
+  /// transport/protocol failure; a request the server failed is `!out.ok`.
+  bool exchange(const Request& req, Reply& out, std::string& transport_error);
+
+  /// Runs one explore request to completion.
   bool explore(const ExploreRequest& req, Result& out,
                std::string& transport_error);
 
@@ -70,17 +67,16 @@ class ServeClient {
   bool admin(std::string_view command, Result& out,
              std::string& transport_error);
 
-  /// Liveness probe; fills `banner` from the kPong payload.
+  /// Liveness probe; fills `banner` with the server banner.  A ping the
+  /// server fails is a transport error here.
   bool ping(std::string& banner, std::string& transport_error);
 
  private:
   bool send_all(std::string_view data, std::string& error);
-  bool read_frame(Frame& out, std::string& error);
-  bool read_json_line(std::string& out, std::string& error);
 
   int fd_ = -1;
-  bool json_mode_ = false;
-  std::string rbuf_;
+  const Codec* codec_ = &kFrameCodec;
+  RecvBuffer in_;
 };
 
 }  // namespace addm::serve

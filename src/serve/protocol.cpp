@@ -264,13 +264,27 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
 // ---------------------------------------------------------------------------
 // Done / error payloads.
 
+namespace {
+
+// The summary counters in kDone payload order; the JSON explore reply
+// carries them under the same names.
+constexpr std::pair<const char*, std::uint64_t ExploreSummary::*> kSummaryFields[] = {
+    {"traces", &ExploreSummary::traces},
+    {"evaluations", &ExploreSummary::evaluations},
+    {"cache_hits", &ExploreSummary::cache_hits},
+    {"disk_hits", &ExploreSummary::disk_hits},
+    {"errors", &ExploreSummary::errors}};
+
+}  // namespace
+
 std::string encode_done(const ExploreSummary& s) {
   std::string out;
-  out += "traces " + std::to_string(s.traces) + "\n";
-  out += "evaluations " + std::to_string(s.evaluations) + "\n";
-  out += "cache_hits " + std::to_string(s.cache_hits) + "\n";
-  out += "disk_hits " + std::to_string(s.disk_hits) + "\n";
-  out += "errors " + std::to_string(s.errors) + "\n";
+  for (const auto& [name, field] : kSummaryFields) {
+    out += name;
+    out += ' ';
+    out += std::to_string(s.*field);
+    out += '\n';
+  }
   return out;
 }
 
@@ -287,13 +301,9 @@ bool parse_done(std::string_view payload, ExploreSummary& out) {
     if (sp == std::string_view::npos) return false;
     std::uint64_t v = 0;
     if (!parse_u64(line.substr(sp + 1), v)) return false;
-    const std::string_view key = line.substr(0, sp);
-    if (key == "traces") out.traces = v;
-    else if (key == "evaluations") out.evaluations = v;
-    else if (key == "cache_hits") out.cache_hits = v;
-    else if (key == "disk_hits") out.disk_hits = v;
-    else if (key == "errors") out.errors = v;
     // Unknown keys are ignored: summaries may grow fields.
+    for (const auto& [name, field] : kSummaryFields)
+      if (line.substr(0, sp) == name) out.*field = v;
   }
   return true;
 }
@@ -315,7 +325,74 @@ bool parse_error(std::string_view payload, ErrorInfo& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON parser (fallback request mode only).
+// Binary framing codec.
+
+namespace {
+
+// The frame that ends a successful reply, per request kind.
+std::uint8_t final_frame(RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kExplore: return kDone;
+    case RequestKind::kAdmin: return kAdminDone;
+    case RequestKind::kPing: break;
+  }
+  return kPong;
+}
+
+bool send_reply_frames(RequestKind kind, const Reply& reply, const ByteSink& send) {
+  if (!reply.ok) return send(encode_frame(kError, encode_error(reply.error)));
+  if (kind != RequestKind::kExplore)
+    return send(encode_frame(final_frame(kind), reply.body));
+  for (std::string_view body = reply.body; !body.empty();) {
+    const std::size_t n = std::min(body.size(), kMaxChunkPayload);
+    if (!send(encode_frame(kChunk, body.substr(0, n)))) return false;
+    body.remove_prefix(n);
+  }
+  return send(encode_frame(kDone, encode_done(reply.summary)));
+}
+
+}  // namespace
+
+std::string encode_request(const Request& req) {
+  switch (req.kind) {
+    case RequestKind::kExplore:
+      return encode_frame(kExplore, encode_explore_request(req.explore));
+    case RequestKind::kAdmin:
+      return encode_frame(kAdmin, req.admin_command);
+    case RequestKind::kPing:
+      break;
+  }
+  return encode_frame(kPing, "");
+}
+
+bool decode_request(const Frame& frame, Request& out, ErrorInfo& error) {
+  out = Request{};
+  switch (frame.type) {
+    case kPing:
+      return true;
+    case kAdmin: {
+      out.kind = RequestKind::kAdmin;
+      std::string_view command = frame.payload;
+      while (!command.empty() && (command.back() == '\n' || command.back() == '\r'))
+        command.remove_suffix(1);
+      out.admin_command = command;
+      return true;
+    }
+    case kExplore:
+      out.kind = RequestKind::kExplore;
+      if (parse_explore_request(frame.payload, out.explore, error.message)) return true;
+      error.code = "bad-request";
+      return false;
+    default:
+      error.code = "unsupported";
+      error.message = "unexpected frame type ";
+      error.message += std::to_string(frame.type);
+      return false;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// JSON-lines codec: a minimal JSON parser, then the request and reply lines.
 
 namespace {
 
@@ -412,14 +489,17 @@ struct JsonParser {
     ++pos;  // opening quote
     out.clear();
     while (pos < text.size()) {
+      // Copy each run of plain bytes in one append: a long string (an
+      // inline trace) costs one pass, not one push_back per byte.
+      const std::size_t run = pos;
+      while (pos < text.size() && text[pos] != '"' && text[pos] != '\\' &&
+             static_cast<unsigned char>(text[pos]) >= 0x20)
+        ++pos;
+      out.append(text, run, pos - run);
+      if (pos == text.size()) break;
       const char c = text[pos++];
       if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20)
-        return fail("raw control byte in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') return fail("raw control byte in string");
       if (pos >= text.size()) return fail("truncated escape");
       const char e = text[pos++];
       switch (e) {
@@ -536,9 +616,10 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error) {
   return true;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+// Appends `s` escaped for a JSON string literal, without the quotes.
+void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -557,6 +638,31 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+// Appends `s` as a JSON string literal, quotes included.
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  append_json_escaped(out, s);
+  out += '"';
+}
+
+// The JSON reply member carrying the body, per request kind.
+const char* body_member(RequestKind kind) {
+  switch (kind) {
+    case RequestKind::kExplore: return "report";
+    case RequestKind::kAdmin: return "output";
+    case RequestKind::kPing: break;
+  }
+  return "pong";
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -610,9 +716,8 @@ bool json_option(const std::string& key, const JsonValue& v,
 
 }  // namespace
 
-bool parse_json_request(std::string_view line, JsonRequest& out,
-                        std::string& error) {
-  out = JsonRequest{};
+bool parse_json_request(std::string_view line, Request& out, std::string& error) {
+  out = Request{};
   JsonValue root;
   if (!parse_json(line, root, error)) return false;
   if (root.type != JsonValue::Type::kObject) {
@@ -625,11 +730,11 @@ bool parse_json_request(std::string_view line, JsonRequest& out,
     return false;
   }
   if (op->string == "ping") {
-    out.kind = JsonRequestKind::kPing;
+    out.kind = RequestKind::kPing;
     return true;
   }
   if (op->string == "admin") {
-    out.kind = JsonRequestKind::kAdmin;
+    out.kind = RequestKind::kAdmin;
     const JsonValue* cmd = root.find("command");
     if (!cmd || cmd->type != JsonValue::Type::kString || cmd->string.empty()) {
       error = "admin request needs a non-empty string \"command\"";
@@ -642,7 +747,7 @@ bool parse_json_request(std::string_view line, JsonRequest& out,
     error = "unknown op '" + op->string + "'";
     return false;
   }
-  out.kind = JsonRequestKind::kExplore;
+  out.kind = RequestKind::kExplore;
   ExploreRequest& req = out.explore;
 
   if (const JsonValue* fmt = root.find("format")) {
@@ -730,77 +835,223 @@ bool parse_json_request(std::string_view line, JsonRequest& out,
   return true;
 }
 
-std::string json_explore_request(const ExploreRequest& req) {
-  std::string out = "{\"op\":\"explore\",\"format\":\"" +
-                    json_escape(req.format) + "\"";
-  if (req.suite_scales > 0) {
-    out += ",\"suite\":{\"scales\":" + std::to_string(req.suite_scales) +
-           ",\"base\":\"" + std::to_string(req.suite_base.width) + "x" +
-           std::to_string(req.suite_base.height) + "\"}";
+std::string encode_json_request(const Request& req) {
+  if (req.kind == RequestKind::kPing) return "{\"op\":\"ping\"}\n";
+  std::string out;
+  if (req.kind == RequestKind::kAdmin) {
+    out = "{\"op\":\"admin\",\"command\":";
+    append_json_string(out, req.admin_command);
+    out += "}\n";
+    return out;
   }
-  if (!req.options.empty()) {
+  const ExploreRequest& e = req.explore;
+  out = "{\"op\":\"explore\",\"format\":";
+  append_json_string(out, e.format);
+  if (e.suite_scales > 0) {
+    out += ",\"suite\":{\"scales\":";
+    out += std::to_string(e.suite_scales);
+    out += ",\"base\":";
+    append_json_string(out, std::to_string(e.suite_base.width) + 'x' +
+                                std::to_string(e.suite_base.height));
+    out += '}';
+  }
+  if (!e.options.empty()) {
+    // Flags serialize as true; valued options as strings (the option
+    // applier parses numeric values from strings either way).
     out += ",\"options\":{";
-    bool first = true;
-    for (const auto& [key, value] : req.options) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + json_escape(key) + "\":";
-      // Flags serialize as true; valued options as strings (the option
-      // applier parses numeric values from strings either way).
-      out += value.empty() ? "true" : "\"" + json_escape(value) + "\"";
+    for (const auto& [key, value] : e.options) {
+      append_json_string(out, key);
+      out += ':';
+      if (value.empty()) out += "true";
+      else append_json_string(out, value);
+      out += ',';
     }
-    out += "}";
+    out.back() = '}';
   }
-  if (!req.traces.empty()) {
+  if (!e.traces.empty()) {
     out += ",\"traces\":[";
-    bool first = true;
-    for (const TraceSource& t : req.traces) {
-      if (!first) out += ",";
-      first = false;
-      if (t.kind == TraceSource::Kind::kPath) {
-        out += "{\"path\":\"" + json_escape(t.name) + "\"}";
-      } else {
-        out += "{\"inline\":\"" + json_escape(t.data) + "\"";
-        if (!t.name.empty()) out += ",\"name\":\"" + json_escape(t.name) + "\"";
-        out += "}";
+    for (const TraceSource& t : e.traces) {
+      const bool path = t.kind == TraceSource::Kind::kPath;
+      out += path ? "{\"path\":" : "{\"inline\":";
+      append_json_string(out, path ? t.name : t.data);
+      if (!path && !t.name.empty()) {
+        out += ",\"name\":";
+        append_json_string(out, t.name);
+      }
+      out += "},";
+    }
+    out.back() = ']';
+  }
+  out += "}\n";
+  return out;
+}
+
+std::string encode_json_reply(RequestKind kind, const Reply& reply) {
+  std::string out;
+  if (!reply.ok) {
+    out = "{\"ok\":false,\"code\":";
+    append_json_string(out, reply.error.code);
+    out += ",\"message\":";
+    append_json_string(out, reply.error.message);
+  } else {
+    out = "{\"ok\":true,\"";
+    out += body_member(kind);
+    out += "\":";
+    append_json_string(out, reply.body);
+    if (kind == RequestKind::kExplore) {
+      for (const auto& [name, field] : kSummaryFields) {
+        out += ",\"";
+        out += name;
+        out += "\":";
+        out += std::to_string(reply.summary.*field);
       }
     }
-    out += "]";
   }
   out += "}\n";
   return out;
 }
 
-std::string json_admin_request(std::string_view command) {
-  return "{\"op\":\"admin\",\"command\":\"" + json_escape(command) + "\"}\n";
+bool parse_json_reply(std::string_view line, Reply& out, std::string& error) {
+  out = Reply{};
+  JsonValue root;
+  std::string why;
+  if (!parse_json(line, root, why) || root.type != JsonValue::Type::kObject) {
+    error = "malformed reply line: ";
+    error += why;
+    return false;
+  }
+  const JsonValue* ok = root.find("ok");
+  if (!ok || ok->type != JsonValue::Type::kBool) {
+    error = "reply missing \"ok\" field";
+    return false;
+  }
+  if (!ok->boolean) {
+    if (const JsonValue* code = root.find("code")) out.error.code = code->string;
+    if (const JsonValue* msg = root.find("message")) out.error.message = msg->string;
+    if (out.error.code.empty()) out.error.code = "error";
+    return true;
+  }
+  out.ok = true;
+  for (const char* key : {"report", "output", "pong"})
+    if (const JsonValue* v = root.find(key))
+      if (v->type == JsonValue::Type::kString) out.body = v->string;
+  for (const auto& [name, field] : kSummaryFields)
+    if (const JsonValue* v = root.find(name)) v->as_u64(out.summary.*field);
+  return true;
 }
 
-std::string json_ping_request() { return "{\"op\":\"ping\"}\n"; }
+// ---------------------------------------------------------------------------
+// Codecs.
 
-std::string json_explore_reply(std::string_view report,
-                               const ExploreSummary& s) {
-  std::string out = "{\"ok\":true,\"report\":\"";
-  out += json_escape(report);
-  out += "\",\"traces\":" + std::to_string(s.traces);
-  out += ",\"evaluations\":" + std::to_string(s.evaluations);
-  out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
-  out += ",\"disk_hits\":" + std::to_string(s.disk_hits);
-  out += ",\"errors\":" + std::to_string(s.errors);
-  out += "}\n";
-  return out;
+namespace {
+
+// Cuts the next '\n'-terminated line off the front of `in` into `line`,
+// terminator dropped; false when no line is complete yet.
+bool cut_line(RecvBuffer& in, std::string& line) {
+  const std::size_t eol = in.bytes.find('\n', in.scanned);
+  if (eol == std::string::npos) {
+    in.scanned = in.bytes.size();
+    return false;
+  }
+  line.assign(in.bytes, 0, eol);
+  in.bytes.erase(0, eol + 1);
+  in.scanned = 0;
+  return true;
 }
 
-std::string json_admin_reply(std::string_view output) {
-  return "{\"ok\":true,\"output\":\"" + json_escape(output) + "\"}\n";
+// Cuts the next frame off the front of `in`.
+DecodeStatus cut_frame(RecvBuffer& in, Frame& frame, std::string& why) {
+  std::size_t used = 0;
+  const DecodeStatus st = decode_frame(in.bytes, frame, used, &why);
+  in.bytes.erase(0, used);
+  return st;
 }
 
-std::string json_pong_reply(std::string_view banner) {
-  return "{\"ok\":true,\"pong\":\"" + json_escape(banner) + "\"}\n";
+Cut cut_request_frame(RecvBuffer& in, Request& out, ErrorInfo& error) {
+  Frame frame;
+  std::string why;
+  const DecodeStatus st = cut_frame(in, frame, why);
+  if (st == DecodeStatus::kNeedMore) return Cut::kNeedMore;
+  if (st == DecodeStatus::kMalformed) {
+    // No trustworthy frame boundary is left to resynchronize on.
+    error = {"malformed-frame", why};
+    return Cut::kFatal;
+  }
+  return decode_request(frame, out, error) ? Cut::kMessage : Cut::kRejected;
 }
 
-std::string json_error_reply(const ErrorInfo& e) {
-  return "{\"ok\":false,\"code\":\"" + json_escape(e.code) +
-         "\",\"message\":\"" + json_escape(e.message) + "\"}\n";
+Cut cut_reply_frames(RecvBuffer& in, RequestKind kind, Reply& out,
+                     std::string& error) {
+  Frame frame;
+  std::string why;
+  for (;;) {
+    const DecodeStatus st = cut_frame(in, frame, why);
+    if (st == DecodeStatus::kNeedMore) return Cut::kNeedMore;
+    if (st == DecodeStatus::kMalformed) {
+      error = "malformed reply frame: ";
+      error += why;
+      return Cut::kFatal;
+    }
+    if (frame.type == kChunk && kind == RequestKind::kExplore) {
+      out.body += frame.payload;
+      continue;
+    }
+    if (frame.type == kError) {
+      if (!parse_error(frame.payload, out.error)) out.error.code = "error";
+      return Cut::kMessage;
+    }
+    if (frame.type != final_frame(kind)) {
+      error = "unexpected reply frame type ";
+      error += std::to_string(frame.type);
+      return Cut::kFatal;
+    }
+    if (kind != RequestKind::kExplore) {
+      out.body = std::move(frame.payload);
+    } else if (!parse_done(frame.payload, out.summary)) {
+      error = "malformed done summary";
+      return Cut::kFatal;
+    }
+    out.ok = true;
+    return Cut::kMessage;
+  }
+}
+
+Cut cut_request_line(RecvBuffer& in, Request& out, ErrorInfo& error) {
+  std::string line;
+  while (cut_line(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    // '\n' stays a trustworthy boundary after a bad line: keep reading.
+    if (parse_json_request(line, out, error.message)) return Cut::kMessage;
+    error.code = "bad-request";
+    return Cut::kRejected;
+  }
+  if (in.bytes.size() > kMaxFramePayload) {
+    error = {"bad-request", "request line exceeds the 64 MiB cap"};
+    return Cut::kFatal;
+  }
+  return Cut::kNeedMore;
+}
+
+Cut cut_reply_line(RecvBuffer& in, RequestKind, Reply& out, std::string& error) {
+  std::string line;
+  if (!cut_line(in, line)) return Cut::kNeedMore;
+  return parse_json_reply(line, out, error) ? Cut::kMessage : Cut::kFatal;
+}
+
+}  // namespace
+
+const Codec kFrameCodec{encode_request, cut_request_frame, send_reply_frames,
+                        cut_reply_frames};
+const Codec kJsonLineCodec{
+    encode_json_request, cut_request_line,
+    [](RequestKind kind, const Reply& reply, const ByteSink& send) {
+      return send(encode_json_reply(kind, reply));
+    },
+    cut_reply_line};
+
+const Codec& codec_for_first_byte(char first) {
+  return first == kFrameMagic[0] ? kFrameCodec : kJsonLineCodec;
 }
 
 }  // namespace addm::serve

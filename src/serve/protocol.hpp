@@ -1,6 +1,7 @@
 // Wire protocol for the addm_serve exploration daemon.
 //
-// Two client-selectable modes share one socket:
+// One request model (Request, Reply) travels in two client-selectable
+// encodings on one socket:
 //
 //  * Binary framing (default, used by addm_client): every message is a
 //    12-byte header — magic "ADSV", version byte, type byte, two reserved
@@ -9,6 +10,10 @@
 //  * JSON lines (fallback for scripting without the client binary): one
 //    request object per '\n'-terminated line, one reply object per line.
 //    Any first byte other than 'A' selects this mode.
+//
+// Each encoding is a Codec: a request encoder and decoder, a reply encoder
+// and decoder.  The daemon and the client move bytes and hold one Codec per
+// connection; nothing above the codecs knows which wire it speaks.
 //
 // The full grammar (frame types, payload formats, error codes, versioning
 // rules) is specified in docs/serve-protocol.md; this header is the single
@@ -26,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -167,12 +173,53 @@ std::string encode_error(const ErrorInfo& e);
 bool parse_error(std::string_view payload, ErrorInfo& out);
 
 // ---------------------------------------------------------------------------
-// JSON-lines fallback.
+// The request model, whichever wire carries it.
+
+enum class RequestKind { kExplore, kAdmin, kPing };
+
+/// One request: a kExplore, kAdmin or kPing frame, or one {"op":...} line.
+/// `admin_command` is one admin command line ("stats", "prune 10 0", ...).
+struct Request {
+  RequestKind kind = RequestKind::kPing;
+  ExploreRequest explore;
+  std::string admin_command;
+};
+
+/// One reply.  On ok, `body` is the report (explore), the command output
+/// (admin) or the server banner (ping); on !ok, `error` says why.
+struct Reply {
+  bool ok = false;
+  ErrorInfo error;
+  std::string body;
+  ExploreSummary summary;  ///< explore only
+};
+
+/// Takes a reply's wire bytes piece by piece; false stops the encoder.
+using ByteSink = std::function<bool(std::string_view bytes)>;
+
+// ---------------------------------------------------------------------------
+// Binary framing codec.
+
+/// A reply's frames are kChunk slices of the report of at most this many
+/// bytes each, then kDone (explore); kAdminDone (admin); kPong (ping); or
+/// one kError.
+inline constexpr std::size_t kMaxChunkPayload = 1u << 20;
+
+/// The one kExplore, kAdmin or kPing frame carrying `req`.
+std::string encode_request(const Request& req);
+
+/// Decodes one request frame.  Returns false with the error to answer:
+/// "bad-request" for an invalid explore payload, "unsupported" for a frame
+/// type that is not a request.  An admin command loses trailing '\r'/'\n'.
+bool decode_request(const Frame& frame, Request& out, ErrorInfo& error);
+
+// ---------------------------------------------------------------------------
+// JSON-lines codec.
 //
 // The repo deliberately has no external JSON dependency, so the fallback
 // mode ships its own minimal parser: UTF-8-agnostic (strings are byte
 // strings; \uXXXX escapes outside ASCII are rejected), numbers as doubles,
-// depth-capped, never throwing.  It exists for protocol input only — report
+// depth-capped, never throwing.  It exists for protocol lines only — report
 // *output* JSON is produced by the existing deterministic renderers.
 
 /// Parsed JSON value.  Tag + the one active member; inactive members stay
@@ -203,37 +250,59 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error);
 /// included).  Control bytes become \u00XX.
 std::string json_escape(std::string_view s);
 
-/// Kind of a parsed JSON-lines request.
-enum class JsonRequestKind { kExplore, kAdmin, kPing };
+/// Parses one request line {"op":"explore"|"admin"|"ping", ...}; explore
+/// fields mirror the binary grammar, with the same option validation.
+/// Returns false with `error` on malformed JSON, an unknown "op", or
+/// invalid request fields.
+bool parse_json_request(std::string_view line, Request& out, std::string& error);
 
-/// One parsed JSON-lines request: {"op":"explore"|"admin"|"ping", ...}.
-/// Explore requests fill `explore` (same structure, same option validation
-/// as the binary grammar — one request model, two encodings); admin
-/// requests fill `admin_command` with the same one-line command the binary
-/// kAdmin payload carries.
-struct JsonRequest {
-  JsonRequestKind kind = JsonRequestKind::kPing;
-  ExploreRequest explore;
-  std::string admin_command;
+/// One request line, '\n' included; parse_json_request reproduces `req`.
+std::string encode_json_request(const Request& req);
+
+/// The line answering a `kind` request, '\n' included.
+std::string encode_json_reply(RequestKind kind, const Reply& reply);
+
+/// Parses one reply line; false with `error` unless it is a JSON object
+/// with a boolean "ok".
+bool parse_json_reply(std::string_view line, Reply& out, std::string& error);
+
+// ---------------------------------------------------------------------------
+// Codecs: each encoding as the four operations the two ends need.
+
+/// Bytes received on one connection and not yet cut into messages.
+struct RecvBuffer {
+  std::string bytes;
+  /// Leading bytes already searched for '\n', so a long JSON line is
+  /// searched once however many receives it takes.
+  std::size_t scanned = 0;
 };
 
-/// Parses one request line.  Returns false with `error` on malformed JSON,
-/// an unknown "op", or invalid request fields.
-bool parse_json_request(std::string_view line, JsonRequest& out,
-                        std::string& error);
+/// What a codec cut off the front of a RecvBuffer.
+enum class Cut {
+  kNeedMore,  ///< no complete message yet: receive more bytes and retry
+  kMessage,   ///< one complete request or reply
+  kRejected,  ///< one invalid request: answer its error, keep the connection
+  kFatal,     ///< nothing can follow: answer the error (daemon), then close
+};
 
-/// Request-line builders (client side of the fallback mode) — each returns
-/// one complete line including the trailing '\n'.  Round-trip property:
-/// parse_json_request(json_explore_request(r)) reproduces `r`.
-std::string json_explore_request(const ExploreRequest& req);
-std::string json_admin_request(std::string_view command);
-std::string json_ping_request();
+struct Codec {
+  /// Client: the wire bytes of one request.
+  std::string (*encode_request)(const Request& req);
+  /// Daemon: cuts the next request off `in`; on kRejected and kFatal,
+  /// `error` is the error to answer.
+  Cut (*cut_request)(RecvBuffer& in, Request& out, ErrorInfo& error);
+  /// Daemon: sends the reply to a `kind` request.
+  bool (*send_reply)(RequestKind kind, const Reply& reply, const ByteSink& send);
+  /// Client: cuts the reply to a `kind` request off `in`: kMessage once it
+  /// is whole, kFatal with `error` on bytes that cannot be one.
+  Cut (*cut_reply)(RecvBuffer& in, RequestKind kind, Reply& out, std::string& error);
+};
 
-/// Reply-line builders — each returns one complete line including the
-/// trailing '\n'.
-std::string json_explore_reply(std::string_view report, const ExploreSummary& s);
-std::string json_admin_reply(std::string_view output);
-std::string json_pong_reply(std::string_view banner);
-std::string json_error_reply(const ErrorInfo& e);
+extern const Codec kFrameCodec;     ///< binary framing
+extern const Codec kJsonLineCodec;  ///< JSON lines
+
+/// A connection's codec, fixed by the first byte its client sends: the
+/// frame magic's 'A' selects binary framing, anything else JSON lines.
+const Codec& codec_for_first_byte(char first);
 
 }  // namespace addm::serve

@@ -44,21 +44,7 @@ bool write_all(int fd, std::string_view data) {
   return true;
 }
 
-// Report bodies can exceed a sensible single write; kChunk slices keep the
-// peer's buffer requirements flat and let it stream the body to disk.
-constexpr std::size_t kChunkBytes = 1u << 20;
-
 }  // namespace
-
-struct Server::Conn {
-  int fd = -1;
-  bool write_failed = false;
-  bool send(std::string_view bytes) {
-    if (write_failed) return false;
-    if (!write_all(fd, bytes)) write_failed = true;
-    return !write_failed;
-  }
-};
 
 Server::Server(ExploreService& service, ServerOptions opt)
     : service_(service), opt_(std::move(opt)) {}
@@ -242,18 +228,8 @@ int Server::run() {
 }
 
 void Server::handle_connection(int fd) {
-  Conn c;
-  c.fd = fd;
   char first = 0;
-  const ssize_t peeked = ::recv(fd, &first, 1, MSG_PEEK);
-  if (peeked == 1) {
-    // Mode selection: the binary framing's magic starts with 'A'; anything
-    // else is treated as a JSON line.
-    if (first == kFrameMagic[0])
-      serve_binary(c);
-    else
-      serve_json(c);
-  }
+  if (::recv(fd, &first, 1, MSG_PEEK) == 1) serve(fd, codec_for_first_byte(first));
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
     for (std::size_t i = 0; i < conn_fds_.size(); ++i) {
@@ -269,153 +245,61 @@ void Server::handle_connection(int fd) {
   note_activity();
 }
 
-void Server::serve_binary(Conn& c) {
-  std::string buf;
+void Server::serve(int fd, const Codec& codec) {
+  const ByteSink send = [fd](std::string_view bytes) { return write_all(fd, bytes); };
+  RecvBuffer in;
   char tmp[64 * 1024];
   for (;;) {
-    while (!buf.empty()) {
-      Frame frame;
-      std::size_t consumed = 0;
-      std::string why;
-      const DecodeStatus st = decode_frame(buf, frame, consumed, &why);
-      if (st == DecodeStatus::kNeedMore) break;
-      if (st == DecodeStatus::kMalformed) {
-        // One framed diagnosis, then close: after garbage there is no
-        // trustworthy frame boundary left to resynchronize on.
-        c.send(encode_frame(kError, encode_error({"malformed-frame", why})));
-        return;
+    Request req;
+    Reply reply;
+    const Cut cut = codec.cut_request(in, req, reply.error);
+    if (cut == Cut::kNeedMore) {
+      if (stopping_.load(std::memory_order_relaxed)) return;
+      const ssize_t n = ::recv(fd, tmp, sizeof tmp, 0);
+      if (n <= 0) {
+        if (n < 0 && errno == EINTR) continue;
+        return;  // EOF (including the drain's SHUT_RD) or error
       }
-      buf.erase(0, consumed);
-      if (!dispatch_frame(c, frame)) return;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    const ssize_t n = ::recv(c.fd, tmp, sizeof tmp, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;  // EOF (including the drain's SHUT_RD) or error
-    }
-    buf.append(tmp, static_cast<std::size_t>(n));
-    note_activity();
-  }
-}
-
-bool Server::dispatch_frame(Conn& c, const Frame& frame) {
-  bool keep = true;
-  switch (frame.type) {
-    case kPing:
-      keep = c.send(encode_frame(kPong, service_.ping()));
-      break;
-    case kAdmin: {
-      std::string command = frame.payload;
-      while (!command.empty() &&
-             (command.back() == '\n' || command.back() == '\r'))
-        command.pop_back();
-      const auto out = service_.admin(command);
-      if (out.ok)
-        keep = c.send(encode_frame(kAdminDone, out.output));
-      else
-        keep = c.send(encode_frame(kError, encode_error(out.error)));
-      if (out.shutdown) {
-        request_stop();
-        keep = false;
-      }
-      break;
-    }
-    case kExplore: {
-      ExploreRequest req;
-      std::string why;
-      if (!parse_explore_request(frame.payload, req, why)) {
-        keep = c.send(encode_frame(kError, encode_error({"bad-request", why})));
-        break;
-      }
-      const auto out = service_.explore(req);
-      if (!out.ok) {
-        keep = c.send(encode_frame(kError, encode_error(out.error)));
-        break;
-      }
-      std::string_view body = out.report;
-      while (!body.empty() && keep) {
-        const std::size_t n = std::min(body.size(), kChunkBytes);
-        keep = c.send(encode_frame(kChunk, body.substr(0, n)));
-        body.remove_prefix(n);
-      }
-      if (keep) keep = c.send(encode_frame(kDone, encode_done(out.summary)));
-      break;
-    }
-    default:
-      keep = c.send(encode_frame(
-          kError, encode_error({"unsupported",
-                                "unexpected frame type " +
-                                    std::to_string(frame.type)})));
-      break;
-  }
-  if (opt_.max_requests != 0 && service_.requests_served() >= opt_.max_requests) {
-    request_stop();
-    keep = false;
-  }
-  return keep;
-}
-
-void Server::serve_json(Conn& c) {
-  std::string buf;
-  char tmp[64 * 1024];
-  for (;;) {
-    std::size_t eol;
-    while ((eol = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, eol);
-      buf.erase(0, eol + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
+      in.bytes.append(tmp, static_cast<std::size_t>(n));
       note_activity();
-
-      JsonRequest req;
-      std::string why;
-      if (!parse_json_request(line, req, why)) {
-        if (!c.send(json_error_reply({"bad-request", why}))) return;
-        continue;
-      }
-      bool keep = true;
-      switch (req.kind) {
-        case JsonRequestKind::kPing:
-          keep = c.send(json_pong_reply(service_.ping()));
-          break;
-        case JsonRequestKind::kAdmin: {
-          const auto out = service_.admin(req.admin_command);
-          keep = c.send(out.ok ? json_admin_reply(out.output)
-                               : json_error_reply(out.error));
-          if (out.shutdown) {
-            request_stop();
-            keep = false;
-          }
-          break;
-        }
-        case JsonRequestKind::kExplore: {
-          const auto out = service_.explore(req.explore);
-          keep = c.send(out.ok ? json_explore_reply(out.report, out.summary)
-                               : json_error_reply(out.error));
-          break;
-        }
-      }
-      if (opt_.max_requests != 0 &&
-          service_.requests_served() >= opt_.max_requests) {
-        request_stop();
-        keep = false;
-      }
-      if (!keep) return;
+      continue;
     }
-    if (buf.size() > kMaxFramePayload) {
-      c.send(json_error_reply(
-          {"bad-request", "request line exceeds the 64 MiB cap"}));
+    // A rejected request is answered with its error and the connection
+    // goes on; after a fatal cut it closes behind the error.
+    if (cut == Cut::kMessage) reply = answer(req);
+    if (!codec.send_reply(req.kind, reply, send) || cut == Cut::kFatal ||
+        stopping_.load(std::memory_order_relaxed))
       return;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    const ssize_t n = ::recv(c.fd, tmp, sizeof tmp, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;
-    }
-    buf.append(tmp, static_cast<std::size_t>(n));
   }
+}
+
+Reply Server::answer(const Request& req) {
+  Reply reply;
+  switch (req.kind) {
+    case RequestKind::kPing:
+      reply.ok = true;
+      reply.body = service_.ping();
+      break;
+    case RequestKind::kAdmin: {
+      ExploreService::AdminOutcome out = service_.admin(req.admin_command);
+      if (out.shutdown) request_stop();
+      reply.ok = out.ok;
+      reply.error = std::move(out.error);
+      reply.body = std::move(out.output);
+      break;
+    }
+    case RequestKind::kExplore: {
+      ExploreService::ExploreOutcome out = service_.explore(req.explore);
+      reply.ok = out.ok;
+      reply.error = std::move(out.error);
+      reply.body = std::move(out.report);
+      reply.summary = out.summary;
+      break;
+    }
+  }
+  if (opt_.max_requests != 0 && service_.requests_served() >= opt_.max_requests)
+    request_stop();
+  return reply;
 }
 
 }  // namespace addm::serve

@@ -1,7 +1,8 @@
-// Socket front-end of the addm_serve daemon: accepts local connections,
-// detects the protocol mode per connection (binary framing vs JSON lines),
-// and dispatches requests onto a worker pool backed by one shared
-// ExploreService.
+// Socket front-end of the addm_serve daemon: accepts local connections and
+// serves each on a worker pool backed by one shared ExploreService.  A
+// connection's first byte picks its codec (binary framing or JSON lines,
+// serve/protocol.hpp); one loop then cuts requests off the connection's
+// buffer with that codec, and one answer() serves them whatever the wire.
 //
 // Lifecycle contract (the part CI leans on):
 //  * start() binds and listens — Unix-domain socket by default, with
@@ -70,11 +71,14 @@ class Server {
   void request_stop();
 
  private:
-  struct Conn;
   void handle_connection(int fd);
-  void serve_binary(Conn& c);
-  void serve_json(Conn& c);
-  bool dispatch_frame(Conn& c, const Frame& frame);
+  /// Reads, answers and replies to requests on `fd` until the peer closes,
+  /// a send fails, the codec finds bytes no request can follow, or the
+  /// daemon stops.
+  void serve(int fd, const Codec& codec);
+  /// Runs one request: ping, admin (an admin shutdown starts the drain) or
+  /// explore.  Starts the drain too once --max-requests is reached.
+  Reply answer(const Request& req);
   void note_activity();
   void close_listener();
 

@@ -1,13 +1,15 @@
 // Wire-protocol tests for the addm_serve daemon (serve/protocol.hpp):
 // frame encode/decode round trips, the explore-request grammar, the JSON
-// fallback, and — the robustness core — a deterministic fuzz pass feeding
-// truncations, bit flips, hostile lengths, and garbage at every parser.
+// fallback, both codecs' request and reply round trips, and — the
+// robustness core — a deterministic fuzz pass feeding truncations, bit
+// flips, hostile lengths, and garbage at every parser.
 // The decoder/parsers must classify every input as a frame, a need-more
 // prefix, or malformed, without crashing, hanging, or over-reading.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/explore_option_table.hpp"
 #include "core/fingerprint.hpp"
@@ -227,6 +229,205 @@ TEST(ServeExploreRequest, FuzzedPayloadsNeverCrash) {
   }
 }
 
+// One request of each kind, as the daemon would decode it.
+std::vector<Request> one_of_each_kind() {
+  std::vector<Request> reqs(3);
+  reqs[0].kind = RequestKind::kExplore;
+  reqs[0].explore.format = "json";
+  reqs[0].explore.suite_scales = 2;
+  reqs[0].explore.options = {{"no-fsm", ""}, {"max-fanout", "6"}};
+  TraceSource t;
+  t.kind = TraceSource::Kind::kInline;
+  t.name = "tiny";
+  t.data = "geometry 2 2\n0 1 2 3\n";
+  reqs[0].explore.traces.push_back(t);
+  reqs[1].kind = RequestKind::kAdmin;
+  reqs[1].admin_command = "prune 10 0";
+  reqs[2].kind = RequestKind::kPing;
+  return reqs;
+}
+
+void expect_same_request(const Request& got, const Request& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.admin_command, want.admin_command);
+  EXPECT_EQ(got.explore.format, want.explore.format);
+  EXPECT_EQ(got.explore.suite_scales, want.explore.suite_scales);
+  EXPECT_EQ(got.explore.options, want.explore.options);
+  ASSERT_EQ(got.explore.traces.size(), want.explore.traces.size());
+  for (std::size_t i = 0; i < want.explore.traces.size(); ++i) {
+    EXPECT_EQ(got.explore.traces[i].name, want.explore.traces[i].name);
+    EXPECT_EQ(got.explore.traces[i].data, want.explore.traces[i].data);
+  }
+}
+
+TEST(ServeRequest, FramesRoundTripEveryKind) {
+  for (const Request& req : one_of_each_kind()) {
+    Frame f;
+    std::size_t consumed = 0;
+    const std::string wire = encode_request(req);
+    ASSERT_EQ(decode_frame(wire, f, consumed), DecodeStatus::kFrame);
+    EXPECT_EQ(consumed, wire.size());
+    Request out;
+    ErrorInfo error;
+    ASSERT_TRUE(decode_request(f, out, error)) << error.message;
+    expect_same_request(out, req);
+  }
+  // The same request bytes the client always sent.
+  EXPECT_EQ(encode_request(Request{}), encode_frame(kPing, ""));
+  EXPECT_EQ(encode_request({RequestKind::kAdmin, {}, "stats"}), encode_frame(kAdmin, "stats"));
+}
+
+TEST(ServeRequest, DecodeRejectsWithTheErrorToAnswer) {
+  Request out;
+  ErrorInfo error;
+  EXPECT_FALSE(decode_request({kChunk, "x"}, out, error));
+  EXPECT_EQ(error.code, "unsupported");
+  EXPECT_EQ(error.message, "unexpected frame type 16");
+  EXPECT_FALSE(decode_request({kExplore, "bogus directive\n"}, out, error));
+  EXPECT_EQ(error.code, "bad-request");
+  EXPECT_EQ(error.message, "unknown directive 'bogus'");
+  // An admin command line may end in CR/LF; the command does not.
+  ASSERT_TRUE(decode_request({kAdmin, "flush\r\n"}, out, error));
+  EXPECT_EQ(out.kind, RequestKind::kAdmin);
+  EXPECT_EQ(out.admin_command, "flush");
+}
+
+TEST(ServeCodec, RequestsRoundTripOnBothWires) {
+  for (const Codec* codec : {&kFrameCodec, &kJsonLineCodec}) {
+    // All three requests in one buffer, as a pipelining client sends them.
+    RecvBuffer in;
+    const std::vector<Request> reqs = one_of_each_kind();
+    for (const Request& req : reqs) in.bytes += codec->encode_request(req);
+    for (const Request& req : reqs) {
+      Request out;
+      ErrorInfo error;
+      ASSERT_EQ(codec->cut_request(in, out, error), Cut::kMessage) << error.message;
+      expect_same_request(out, req);
+    }
+    Request out;
+    ErrorInfo error;
+    EXPECT_EQ(codec->cut_request(in, out, error), Cut::kNeedMore);
+    EXPECT_TRUE(in.bytes.empty());
+  }
+  EXPECT_EQ(&codec_for_first_byte('A'), &kFrameCodec);
+  EXPECT_EQ(&codec_for_first_byte('{'), &kJsonLineCodec);
+}
+
+TEST(ServeCodec, CutRequestClassifiesBadInput) {
+  Request out;
+  ErrorInfo error;
+  RecvBuffer in;
+  // A line that arrives one byte at a time is cut once its '\n' arrives.
+  const std::string ping = encode_json_request(Request{});
+  for (std::size_t i = 0; i + 1 < ping.size(); ++i) {
+    in.bytes += ping[i];
+    ASSERT_EQ(kJsonLineCodec.cut_request(in, out, error), Cut::kNeedMore);
+    EXPECT_EQ(in.scanned, in.bytes.size());
+  }
+  in.bytes += '\n';
+  ASSERT_EQ(kJsonLineCodec.cut_request(in, out, error), Cut::kMessage);
+  EXPECT_EQ(out.kind, RequestKind::kPing);
+  // Blank lines are skipped; a bad line is rejected and the next one read.
+  in.bytes = "\r\n\n{\"op\":\"fly\"}\r\n" + ping;
+  ASSERT_EQ(kJsonLineCodec.cut_request(in, out, error), Cut::kRejected);
+  EXPECT_EQ(error.code, "bad-request");
+  EXPECT_EQ(error.message, "unknown op 'fly'");
+  ASSERT_EQ(kJsonLineCodec.cut_request(in, out, error), Cut::kMessage);
+
+  // Frames: a non-request type is rejected, garbage is fatal.
+  in.bytes = encode_frame(kPong, "") + encode_frame(kPing, "") + "ADSX";
+  ASSERT_EQ(kFrameCodec.cut_request(in, out, error), Cut::kRejected);
+  EXPECT_EQ(error.code, "unsupported");
+  ASSERT_EQ(kFrameCodec.cut_request(in, out, error), Cut::kMessage);
+  EXPECT_EQ(out.kind, RequestKind::kPing);
+  ASSERT_EQ(kFrameCodec.cut_request(in, out, error), Cut::kFatal);
+  EXPECT_EQ(error.code, "malformed-frame");
+  EXPECT_EQ(error.message, "bad frame magic");
+}
+
+TEST(ServeCodec, RepliesRoundTripOnBothWires) {
+  Reply report;
+  report.ok = true;
+  // Over two chunks' worth, with bytes JSON must escape.
+  for (int i = 0; report.body.size() <= 2 * kMaxChunkPayload; ++i)
+    report.body += "row " + std::to_string(i) + ",\"quoted\"\t\\\n";
+  report.summary = {9, 7, 2, 1, 3};
+  Reply admin;
+  admin.ok = true;
+  admin.body = "flushed 7 entries, 0 evicted\n";
+  Reply pong;
+  pong.ok = true;
+  pong.body = "addm_serve protocol 1";
+  Reply failed;
+  failed.error = {"bad-request", "unknown directive 'x'\nsecond line"};
+  const std::pair<RequestKind, const Reply*> cases[] = {
+      {RequestKind::kExplore, &report}, {RequestKind::kAdmin, &admin},
+      {RequestKind::kPing, &pong},      {RequestKind::kExplore, &failed},
+      {RequestKind::kAdmin, &failed},   {RequestKind::kPing, &failed}};
+
+  for (const Codec* codec : {&kFrameCodec, &kJsonLineCodec}) {
+    for (const auto& [kind, reply] : cases) {
+      std::string wire;
+      std::vector<std::size_t> pieces;
+      ASSERT_TRUE(codec->send_reply(kind, *reply, [&](std::string_view bytes) {
+        wire += bytes;
+        pieces.push_back(bytes.size());
+        return true;
+      }));
+      if (codec == &kFrameCodec && reply == &report) {
+        // Three kChunk frames of at most 1 MiB each, then kDone.
+        ASSERT_EQ(pieces.size(), 4u);
+        for (std::size_t i = 0; i < 3; ++i)
+          EXPECT_LE(pieces[i], kFrameHeaderSize + kMaxChunkPayload);
+      } else {
+        EXPECT_EQ(pieces.size(), 1u);
+      }
+      // Fed in 64 KiB receives, the reply is whole only at the last one.
+      RecvBuffer in;
+      Reply out;
+      std::string error;
+      for (std::size_t at = 0; at < wire.size(); at += 64 * 1024) {
+        in.bytes.append(wire, at, 64 * 1024);
+        const Cut want = at + 64 * 1024 >= wire.size() ? Cut::kMessage : Cut::kNeedMore;
+        ASSERT_EQ(codec->cut_reply(in, kind, out, error), want) << error;
+      }
+      EXPECT_TRUE(in.bytes.empty());
+      EXPECT_EQ(out.ok, reply->ok);
+      EXPECT_EQ(out.body, reply->body);
+      EXPECT_EQ(out.error.code, reply->error.code);
+      EXPECT_EQ(out.error.message, reply->error.message);
+      EXPECT_EQ(out.summary.traces, reply->summary.traces);
+      EXPECT_EQ(out.summary.evaluations, reply->summary.evaluations);
+      EXPECT_EQ(out.summary.cache_hits, reply->summary.cache_hits);
+      EXPECT_EQ(out.summary.disk_hits, reply->summary.disk_hits);
+      EXPECT_EQ(out.summary.errors, reply->summary.errors);
+    }
+  }
+}
+
+TEST(ServeCodec, FailedSendStopsTheReply) {
+  Reply report;
+  report.ok = true;
+  report.body.assign(3 * kMaxChunkPayload, 'r');
+  for (const Codec* codec : {&kFrameCodec, &kJsonLineCodec}) {
+    int sends = 0;
+    EXPECT_FALSE(codec->send_reply(RequestKind::kExplore, report,
+                                   [&](std::string_view) { return ++sends, false; }));
+    EXPECT_EQ(sends, 1);
+  }
+}
+
+TEST(ServeCodec, ReplyOfTheWrongKindIsATransportError) {
+  RecvBuffer in;
+  in.bytes = encode_frame(kPong, "addm_serve protocol 1");
+  Reply out;
+  std::string error;
+  EXPECT_EQ(kFrameCodec.cut_reply(in, RequestKind::kAdmin, out, error), Cut::kFatal);
+  EXPECT_EQ(error, "unexpected reply frame type 19");
+  in.bytes = "not json\n";
+  EXPECT_EQ(kJsonLineCodec.cut_reply(in, RequestKind::kPing, out, error), Cut::kFatal);
+}
+
 TEST(ServeOptions, DefaultRequestYieldsDefaultOptions) {
   // The pinned-fingerprint property: an optionless request must produce an
   // ExploreOptions whose fingerprint equals the CLI default's.
@@ -308,8 +509,11 @@ TEST(ServeOptions, AppliesEveryKey) {
     ExploreRequest binary;
     EXPECT_EQ(parse_explore_request(encode_explore_request(req), binary, error), c.ok)
         << error;
-    JsonRequest json;
-    EXPECT_EQ(parse_json_request(json_explore_request(req), json, error), c.ok) << error;
+    Request json;
+    EXPECT_EQ(parse_json_request(encode_json_request({RequestKind::kExplore, req, {}}),
+                                 json, error),
+              c.ok)
+        << error;
     if (!c.ok) continue;
     for (const ExploreRequest* parsed : {&binary, &json.explore}) {
       core::ExploreOptions served;
@@ -396,7 +600,7 @@ TEST(ServeJson, FuzzedDocumentsNeverCrash) {
       input[rng.next() % input.size()] =
           static_cast<char>(rng.next() & 0xff);
     input = input.substr(0, rng.next() % (input.size() + 1));
-    JsonRequest out;
+    Request out;
     std::string error;
     parse_json_request(input, out, error);  // must not crash or throw
   }
@@ -416,11 +620,12 @@ TEST(ServeJson, RequestRoundTrip) {
   t.data = "geometry 2x2\n0 1 2 3\n";
   req.traces.push_back(t);
 
-  JsonRequest parsed;
+  Request parsed;
   std::string error;
-  ASSERT_TRUE(parse_json_request(json_explore_request(req), parsed, error))
+  ASSERT_TRUE(parse_json_request(encode_json_request({RequestKind::kExplore, req, {}}),
+                                 parsed, error))
       << error;
-  ASSERT_EQ(parsed.kind, JsonRequestKind::kExplore);
+  ASSERT_EQ(parsed.kind, RequestKind::kExplore);
   EXPECT_EQ(parsed.explore.format, "json");
   EXPECT_EQ(parsed.explore.suite_scales, 2u);
   EXPECT_EQ(parsed.explore.suite_base.height, 16u);
@@ -431,18 +636,64 @@ TEST(ServeJson, RequestRoundTrip) {
   ASSERT_EQ(parsed.explore.traces.size(), 1u);
   EXPECT_EQ(parsed.explore.traces[0].data, t.data);
 
-  JsonRequest admin;
-  ASSERT_TRUE(parse_json_request(json_admin_request("prune 10 0"), admin, error));
-  ASSERT_EQ(admin.kind, JsonRequestKind::kAdmin);
+  Request admin;
+  ASSERT_TRUE(parse_json_request(
+      encode_json_request({RequestKind::kAdmin, {}, "prune 10 0"}), admin, error));
+  ASSERT_EQ(admin.kind, RequestKind::kAdmin);
   EXPECT_EQ(admin.admin_command, "prune 10 0");
 
-  JsonRequest ping;
-  ASSERT_TRUE(parse_json_request(json_ping_request(), ping, error));
-  EXPECT_EQ(ping.kind, JsonRequestKind::kPing);
+  Request ping;
+  ASSERT_TRUE(parse_json_request(encode_json_request(Request{}), ping, error));
+  EXPECT_EQ(ping.kind, RequestKind::kPing);
+}
+
+TEST(ServeJson, ReplyRoundTrip) {
+  // The reply lines the daemon has always written, byte for byte.
+  Reply pong;
+  pong.ok = true;
+  pong.body = "addm_serve protocol 1";
+  EXPECT_EQ(encode_json_reply(RequestKind::kPing, pong),
+            "{\"ok\":true,\"pong\":\"addm_serve protocol 1\"}\n");
+  Reply admin;
+  admin.ok = true;
+  admin.body = "flushed 7 entries, 0 evicted\n";
+  EXPECT_EQ(encode_json_reply(RequestKind::kAdmin, admin),
+            "{\"ok\":true,\"output\":\"flushed 7 entries, 0 evicted\\n\"}\n");
+  Reply report;
+  report.ok = true;
+  report.body = "a,\"b\"\n";
+  report.summary = {9, 7, 2, 0, 1};
+  const std::string line = encode_json_reply(RequestKind::kExplore, report);
+  EXPECT_EQ(line,
+            "{\"ok\":true,\"report\":\"a,\\\"b\\\"\\n\",\"traces\":9,"
+            "\"evaluations\":7,\"cache_hits\":2,\"disk_hits\":0,\"errors\":1}\n");
+  Reply failed;
+  failed.error = {"bad-request", "line \"3\"\nmore"};
+  EXPECT_EQ(encode_json_reply(RequestKind::kExplore, failed),
+            "{\"ok\":false,\"code\":\"bad-request\",\"message\":"
+            "\"line \\\"3\\\"\\nmore\"}\n");
+
+  Reply out;
+  std::string error;
+  ASSERT_TRUE(parse_json_reply(line, out, error)) << error;
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.body, report.body);
+  EXPECT_EQ(out.summary.traces, 9u);
+  EXPECT_EQ(out.summary.errors, 1u);
+  ASSERT_TRUE(parse_json_reply(encode_json_reply(RequestKind::kAdmin, failed), out, error));
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(out.error.code, "bad-request");
+  EXPECT_EQ(out.error.message, failed.error.message);
+  // A failure without a code still fails; a line without "ok" is no reply.
+  ASSERT_TRUE(parse_json_reply("{\"ok\":false}", out, error));
+  EXPECT_EQ(out.error.code, "error");
+  EXPECT_FALSE(parse_json_reply("{\"pong\":\"x\"}", out, error));
+  EXPECT_EQ(error, "reply missing \"ok\" field");
+  EXPECT_FALSE(parse_json_reply("{", out, error));
 }
 
 TEST(ServeJson, RequestValidation) {
-  JsonRequest out;
+  Request out;
   std::string error;
   EXPECT_FALSE(parse_json_request("[]", out, error));
   EXPECT_FALSE(parse_json_request("{}", out, error));

@@ -5,8 +5,10 @@
 //  * Byte-equality: the served report body equals the offline
 //    BatchExplorer/report-renderer output for the same traces and options —
 //    cold, memo-warm, across option sets, and in both wire modes.
-//  * Robustness: garbage bytes, hostile frames, and mid-stream disconnects
-//    cost at most one connection, never the daemon.
+//  * Robustness: garbage bytes, hostile frames, over-long JSON lines and
+//    mid-stream disconnects cost at most one connection, never the daemon.
+//  * One request path: requests pipelined in one write are answered in
+//    order, on either wire.
 //  * Lifecycle: admin shutdown and --max-requests both drain cleanly to
 //    exit code 0, flushing pending cache state.
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -326,6 +329,69 @@ TEST(ServeServer, GarbageAndDisconnectsNeverKillTheDaemon) {
   ServeClient::Result result;
   ASSERT_TRUE(client.explore(suite_request(), result, error)) << error;
   EXPECT_TRUE(result.ok);
+}
+
+TEST(ServeServer, PipelinedRequestsAreAnsweredInOrderOnBothWires) {
+  TestServer ts;
+  std::vector<Request> reqs(3);
+  reqs[0].kind = RequestKind::kPing;
+  reqs[1].kind = RequestKind::kAdmin;
+  reqs[1].admin_command = "rewind";
+  reqs[2].kind = RequestKind::kExplore;
+  reqs[2].explore = suite_request();
+  const std::string expect = offline_report(seq::scaled_suite({8, 8}, 1), {});
+
+  for (const Codec* codec : {&kFrameCodec, &kJsonLineCodec}) {
+    RawConn conn(ts.server.bound_port());
+    std::string wire;
+    for (const Request& req : reqs) wire += codec->encode_request(req);
+    conn.send_bytes(wire);  // all three in one write
+    conn.half_close();
+    RecvBuffer in;
+    in.bytes = conn.drain();
+    std::vector<Reply> replies(reqs.size());
+    std::string error;
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+      ASSERT_EQ(codec->cut_reply(in, reqs[i].kind, replies[i], error), Cut::kMessage)
+          << "reply " << i << ": " << error;
+    EXPECT_TRUE(in.bytes.empty());
+    EXPECT_TRUE(replies[0].ok);
+    EXPECT_EQ(replies[0].body, ts.service.banner());
+    EXPECT_FALSE(replies[1].ok);
+    EXPECT_EQ(replies[1].error.code, "bad-request");
+    ASSERT_TRUE(replies[2].ok) << replies[2].error.message;
+    EXPECT_EQ(replies[2].body, expect);
+  }
+}
+
+TEST(ServeServer, JsonLineOverTheCapGetsOneErrorLineAndCloses) {
+  TestServer ts;
+  RawConn conn(ts.server.bound_port());
+  // One byte over the cap and no '\n': the daemon reads every byte sent,
+  // so its close after the error line is clean.
+  const std::string head = "{\"op\":\"ping\",\"pad\":\"";
+  conn.send_bytes(head);
+  const std::string block(1u << 20, 'x');
+  for (std::size_t left = kMaxFramePayload + 1 - head.size(); left > 0;) {
+    const std::size_t n = std::min(left, block.size());
+    conn.send_bytes(std::string_view(block).substr(0, n));
+    left -= n;
+  }
+  RecvBuffer in;
+  in.bytes = conn.drain();  // returns only once the daemon closes
+  Reply reply;
+  std::string error;
+  ASSERT_EQ(kJsonLineCodec.cut_reply(in, RequestKind::kPing, reply, error), Cut::kMessage)
+      << error;
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.error.code, "bad-request");
+  EXPECT_EQ(reply.error.message, "request line exceeds the 64 MiB cap");
+  EXPECT_TRUE(in.bytes.empty());
+
+  // The daemon still serves the next connection.
+  ServeClient client = ts.connect(/*json=*/true);
+  std::string banner;
+  ASSERT_TRUE(client.ping(banner, error)) << error;
 }
 
 TEST(ServeServer, AdminFlushCompactStatsAgainstCacheDir) {

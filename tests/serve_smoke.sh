@@ -12,6 +12,7 @@
 #   - admin stats/flush/compact work and leave a directory that
 #     addm_cache verify-checksums calls clean,
 #   - addm_explore and addm_client reject the same bad option values (exit 2),
+#     and admin prune takes a plain entry count,
 #   - SIGTERM drains and exits 0,
 #   - the TCP transport (--listen/--port-file) serves the same bytes.
 set -u
@@ -115,6 +116,10 @@ grep -q '"entries"' stats.json || fail "admin stats is not the stats JSON"
 "$CLIENT" --socket "$SOCK" admin compact >/dev/null || fail "admin compact"
 "$CLIENT" --socket "$SOCK" admin prune --max-entries 1000 >/dev/null \
   || fail "admin prune"
+# An entry count takes no byte suffix: a usage error, never "prune 2048 0".
+"$CLIENT" --socket "$SOCK" admin prune --max-entries 2k >/dev/null 2>&1
+RC=$?
+[ "$RC" -eq 2 ] || fail "admin prune --max-entries 2k exit code $RC (want 2)"
 
 # A bad admin command must fail the client (exit 1) but not the daemon.
 if "$CLIENT" --socket "$SOCK" admin no-such-command >/dev/null 2>&1; then

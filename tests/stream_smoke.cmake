@@ -3,13 +3,13 @@
 #
 #   1. addm_trace_import on the checked-in lackey log must reproduce the
 #      checked-in golden trace byte-for-byte (stdin and --in/--out paths)
-#   2. addm_explore --stream must produce byte-identical reports to the
-#      materializing reader on that trace
-#   3. --compress-periodic on the (aperiodic) imported trace must be a
+#   2. --compress-periodic on the (aperiodic) imported trace must be a
 #      byte-for-byte no-op on the report
-#   4. a generated multi-pass periodic trace must explore with every note
-#      annotated "[periodic 300x8]", and --stream --compress-periodic must
-#      agree with --compress-periodic alone
+#   3. a generated multi-pass periodic trace must explore with every note
+#      annotated "[periodic 300x8]"
+#
+# That the streaming reader and the materializing parser agree is
+# stream_property_test's job.
 #
 # Usage: cmake -DADDM_EXPLORE=... -DADDM_TRACE_IMPORT=... -DGOLDEN_DIR=...
 #              -DWORK_DIR=... -P this
@@ -56,25 +56,18 @@ endif()
 compare_files(${WORK_DIR}/imported_stdin.trace ${WORK_DIR}/imported.trace
   "stdin vs --in import")
 
-# 2 + 3. Explore the imported trace four ways: the report bytes must never
-# change (the trace is aperiodic, so compression is a strict no-op).
+# 2. Explore the imported trace with and without compression: the report
+# bytes must not change (the trace is aperiodic, so compression is a
+# strict no-op).
 run_checked(${ADDM_EXPLORE} --trace ${WORK_DIR}/imported.trace
   --out ${WORK_DIR}/imported.csv --quiet)
-run_checked(${ADDM_EXPLORE} --trace ${WORK_DIR}/imported.trace --stream
-  --out ${WORK_DIR}/imported_stream.csv --quiet)
 run_checked(${ADDM_EXPLORE} --trace ${WORK_DIR}/imported.trace
   --compress-periodic --out ${WORK_DIR}/imported_compressed.csv --quiet)
-run_checked(${ADDM_EXPLORE} --trace ${WORK_DIR}/imported.trace --stream
-  --compress-periodic --out ${WORK_DIR}/imported_both.csv --quiet)
-compare_files(${WORK_DIR}/imported_stream.csv ${WORK_DIR}/imported.csv
-  "--stream report")
 compare_files(${WORK_DIR}/imported_compressed.csv ${WORK_DIR}/imported.csv
   "--compress-periodic report (aperiodic trace)")
-compare_files(${WORK_DIR}/imported_both.csv ${WORK_DIR}/imported.csv
-  "--stream --compress-periodic report (aperiodic trace)")
 
-# 4. A periodic trace: 300 passes over an 8-access loop.  Compression must
-# annotate every generator note, and streaming must not change the result.
+# 3. A periodic trace: 300 passes over an 8-access loop.  Compression must
+# annotate every generator note.
 set(body "geometry 8 8\nname loop8\n")
 foreach(i RANGE 299)
   string(APPEND body "0 1 2 3 8 9 10 11\n")
@@ -82,10 +75,6 @@ endforeach()
 file(WRITE ${WORK_DIR}/periodic.trace "${body}")
 run_checked(${ADDM_EXPLORE} --trace ${WORK_DIR}/periodic.trace
   --compress-periodic --out ${WORK_DIR}/periodic.csv --quiet)
-run_checked(${ADDM_EXPLORE} --trace ${WORK_DIR}/periodic.trace --stream
-  --compress-periodic --out ${WORK_DIR}/periodic_stream.csv --quiet)
-compare_files(${WORK_DIR}/periodic_stream.csv ${WORK_DIR}/periodic.csv
-  "--stream --compress-periodic report (periodic trace)")
 
 file(STRINGS ${WORK_DIR}/periodic.csv report_lines)
 list(LENGTH report_lines n_lines)
@@ -100,5 +89,5 @@ foreach(line IN LISTS report_lines)
   math(EXPR row "${row} + 1")
 endforeach()
 
-message(STATUS "stream smoke OK: golden import, --stream and "
-  "--compress-periodic byte-identical, periodic annotation present")
+message(STATUS "stream smoke OK: golden import, --compress-periodic "
+  "byte-identical, periodic annotation present")

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   bool have_input = false;
   bool have_max_entries = false;
   bool have_max_bytes = false;
-  std::uint64_t max_entries = 0;
+  std::size_t max_entries = 0;
   std::uint64_t max_bytes = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--max-entries") {
-      if (!parse_bytes(need_value(), max_entries) || max_entries == 0) {
-        std::cerr << argv[0] << ": --max-entries expects a positive number\n";
+      if (!parse_size(need_value(), max_entries) || max_entries == 0) {
+        std::cerr << argv[0] << ": --max-entries expects a positive entry count\n";
         return 2;
       }
       have_max_entries = true;
@@ -289,26 +289,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (out_path.empty()) {
-    std::cout << result.body;
-    std::cout.flush();
-    if (!std::cout) {
-      std::cerr << argv[0] << ": error writing report to stdout\n";
-      return 1;
-    }
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << argv[0] << ": cannot open " << out_path << " for writing\n";
-      return 1;
-    }
-    out << result.body;
-    out.flush();
-    if (!out) {
-      std::cerr << argv[0] << ": error writing report to " << out_path << "\n";
-      return 1;
-    }
-  }
+  if (!addm::tools::write_report(argv[0], out_path, result.body)) return 1;
 
   if (!quiet) {
     std::fprintf(stderr,

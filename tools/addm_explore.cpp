@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -29,7 +28,6 @@
 
 #include "cli_util.hpp"
 #include "core/batch_explorer.hpp"
-#include "seq/stream_io.hpp"
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
 
@@ -50,9 +48,6 @@ void usage(const char* argv0) {
       << "  --base WxH           base geometry for --suite (default 8x8)\n"
       << "  --trace FILE         add one trace file (repeatable)\n"
       << "  --trace-dir DIR      add every *.trace file under DIR\n"
-      << "  --stream             read trace files with the chunked streaming\n"
-      << "                       reader (identical traces and reports; peak\n"
-      << "                       memory drops to one chunk + one line)\n"
       << "\n"
       << "exploration:\n"
       << "  --threads N          total worker-thread budget (default: hardware)\n"
@@ -85,7 +80,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> trace_dirs;
   std::string format = "csv";
   std::string out_path;
-  bool stream = false;
   bool quiet = false;
   bool have_shard = false;
   ShardSpec shard;
@@ -148,8 +142,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_shard = true;
-    } else if (arg == "--stream") {
-      stream = true;
     } else if (addm::tools::take_explore_option(argc, argv, i, opt.explore)) {
       // applied to opt.explore by the exploration-option table
     } else if (arg == "--format") {
@@ -214,19 +206,9 @@ int main(int argc, char** argv) {
     }
     for (std::size_t i = begin; i < end && i < suite.size(); ++i)
       traces.push_back(std::move(suite[i]));
-    // --stream swaps the materializing file reader for the chunked
-    // TraceReader; both produce identical AddressTraces (differential-
-    // tested), so the choice is pure scheduling and not fingerprinted.
-    auto read_file = [&](const std::string& f) {
-      if (!stream) return addm::seq::read_trace_file(f);
-      std::ifstream in(f, std::ios::binary);
-      if (!in) throw std::runtime_error("cannot open trace file: " + f);
-      addm::seq::TraceReader reader(in);
-      return reader.read_all();
-    };
     for (std::size_t i = std::max(begin, suite.size()); i < end; ++i) {
       const std::string& f = files[i - suite.size()];
-      auto t = read_file(f);
+      auto t = addm::seq::read_trace_file(f);
       if (t.name().empty())
         t.set_name(std::filesystem::path(f).stem().string());
       traces.push_back(std::move(t));
@@ -247,26 +229,7 @@ int main(int argc, char** argv) {
 
   const std::string report = format == "json" ? addm::core::batch_report_json(result)
                                               : addm::core::batch_report_csv(result);
-  if (out_path.empty()) {
-    std::cout << report;
-    std::cout.flush();
-    if (!std::cout) {
-      std::cerr << argv[0] << ": error writing report to stdout\n";
-      return 1;
-    }
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << argv[0] << ": cannot open " << out_path << " for writing\n";
-      return 1;
-    }
-    out << report;
-    out.flush();
-    if (!out) {
-      std::cerr << argv[0] << ": error writing report to " << out_path << "\n";
-      return 1;
-    }
-  }
+  if (!addm::tools::write_report(argv[0], out_path, report)) return 1;
 
   std::size_t errors = 0;
   for (const auto& e : result.entries)

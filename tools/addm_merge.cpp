@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -221,26 +220,7 @@ int main(int argc, char** argv) {
       std::cerr << argv[0] << ": " << error << "\n";
       return 1;
     }
-    if (out_path.empty()) {
-      std::cout << merged;
-      std::cout.flush();
-      if (!std::cout) {
-        std::cerr << argv[0] << ": error writing report to stdout\n";
-        return 1;
-      }
-    } else {
-      std::ofstream out(out_path, std::ios::binary);
-      if (!out) {
-        std::cerr << argv[0] << ": cannot open " << out_path << " for writing\n";
-        return 1;
-      }
-      out << merged;
-      out.flush();
-      if (!out) {
-        std::cerr << argv[0] << ": error writing report to " << out_path << "\n";
-        return 1;
-      }
-    }
+    if (!addm::tools::write_report(argv[0], out_path, merged)) return 1;
     if (!quiet)
       std::fprintf(stderr, "merged %zu reports\n", reports.size());
   }

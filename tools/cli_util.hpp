@@ -1,4 +1,5 @@
-// Shared argument-parsing helpers for the addm command-line tools.
+// Shared argument-parsing and report-writing helpers for the addm
+// command-line tools.
 #pragma once
 
 #include <cctype>
@@ -82,6 +83,31 @@ inline bool read_file(const std::string& path, std::string& out) {
   if (in.bad()) return false;
   out = os.str();
   return true;
+}
+
+/// Writes `report` to `out_path`, or to stdout when it is empty.  On
+/// failure prints the diagnostic ("cannot open F for writing", "error
+/// writing report to F" or "... to stdout") and returns false; the tools
+/// then exit 1.
+inline bool write_report(const char* argv0, const std::string& out_path,
+                         std::string_view report) {
+  if (out_path.empty()) {
+    std::cout << report;
+    std::cout.flush();
+    if (std::cout) return true;
+    std::cerr << argv0 << ": error writing report to stdout\n";
+    return false;
+  }
+  std::ofstream out(out_path, std::ios::binary);
+  if (!out) {
+    std::cerr << argv0 << ": cannot open " << out_path << " for writing\n";
+    return false;
+  }
+  out << report;
+  out.flush();
+  if (out) return true;
+  std::cerr << argv0 << ": error writing report to " << out_path << "\n";
+  return false;
 }
 
 /// Upper bound on the --shard count: generous for any real fleet, and low
