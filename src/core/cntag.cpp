@@ -1,6 +1,7 @@
 #include "core/cntag.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "logic/minimize.hpp"
 #include "logic/sop_map.hpp"
@@ -73,18 +74,20 @@ CntAgPorts build_cntag(NetlistBuilder& b, const seq::AddressTrace& trace, NetId 
   return ports;
 }
 
-Netlist elaborate_cntag(const seq::AddressTrace& trace, const CntAgOptions& opt) {
+Netlist elaborate_cntag(const seq::AddressTrace& trace, const CntAgOptions& opt,
+                        CntAgPorts* ports_out) {
   Netlist nl;
   NetlistBuilder b(nl);
   const NetId next = b.input("next");
   const NetId reset = b.input("reset");
-  const CntAgPorts ports = build_cntag(b, trace, next, reset, opt);
+  CntAgPorts ports = build_cntag(b, trace, next, reset, opt);
   b.output_bus("ra", ports.row_addr);
   b.output_bus("ca", ports.col_addr);
   if (opt.include_decoders) {
     b.output_bus("rs", ports.rs);
     b.output_bus("cs", ports.cs);
   }
+  if (ports_out) *ports_out = std::move(ports);
   return nl;
 }
 

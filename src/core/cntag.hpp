@@ -56,8 +56,10 @@ CntAgPorts build_cntag(netlist::NetlistBuilder& b, const seq::AddressTrace& trac
                        const CntAgOptions& opt = {});
 
 /// Standalone netlist: inputs "next"/"reset"; outputs "ra[...]", "ca[...]"
-/// and, with decoders, "rs[...]", "cs[...]".
+/// and, with decoders, "rs[...]", "cs[...]".  The ports go to `ports` when
+/// given.
 netlist::Netlist elaborate_cntag(const seq::AddressTrace& trace,
-                                 const CntAgOptions& opt = {});
+                                 const CntAgOptions& opt = {},
+                                 CntAgPorts* ports = nullptr);
 
 }  // namespace addm::core

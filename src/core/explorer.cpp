@@ -1,6 +1,7 @@
 #include "core/explorer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <sstream>
 
@@ -9,6 +10,7 @@
 #include "core/sfm.hpp"
 #include "core/srag_elab.hpp"
 #include "core/srag_mapper.hpp"
+#include "core/srag_model.hpp"
 #include "core/thread_pool.hpp"
 #include "core/verify.hpp"
 #include "seq/periodicity.hpp"
@@ -22,8 +24,119 @@ using netlist::NetlistBuilder;
 
 namespace {
 
-Netlist elaborate_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
-                         const logic::MinimizeOptions& minimize) {
+// --- replay recipes (ReferenceCircuit::state/state_at) ------------------------
+
+/// Writes one lane of a replay recipe's words, flip-flop by flip-flop in
+/// `ReferenceCircuit::state` order.
+class LaneWriter {
+ public:
+  LaneWriter(std::vector<std::uint64_t>& words, std::size_t lane)
+      : words_(words), bit_(std::uint64_t{1} << lane) {}
+  /// The next `width` flip-flops hold `value`, LSB first.
+  void binary(std::uint64_t value, std::size_t width) {
+    for (std::size_t k = 0; k < width; ++k)
+      if ((value >> k) & 1) words_[at_ + k] |= bit_;
+    at_ += width;
+  }
+  /// The next `width` flip-flops hold one token, at `pos`.
+  void one_hot(std::size_t pos, std::size_t width) {
+    words_[at_ + pos] |= bit_;
+    at_ += width;
+  }
+
+ private:
+  std::vector<std::uint64_t>& words_;
+  std::uint64_t bit_;
+  std::size_t at_ = 0;
+};
+
+/// A state_at that writes each lane with `lane(writer, access)`.
+template <class Lane>
+auto closed_form_recipe(std::size_t flipflops, Lane lane) {
+  return [flipflops, lane](std::span<const std::size_t> accesses) {
+    std::vector<std::uint64_t> words(flipflops, 0);
+    for (std::size_t i = 0; i < accesses.size(); ++i) {
+      LaneWriter w(words, i);
+      lane(w, accesses[i]);
+    }
+    return words;
+  };
+}
+
+void append(std::vector<NetId>& state, const std::vector<NetId>& nets) {
+  state.insert(state.end(), nets.begin(), nets.end());
+}
+
+/// The token flip-flops, register by register, last in both SRAG layouts.
+template <class Model>
+void write_token(LaneWriter& w, const std::vector<std::vector<NetId>>& token,
+                 const Model& m) {
+  std::size_t at = m.token_position(), n = 0;
+  for (std::size_t r = 0; r < token.size(); ++r) {
+    if (r < m.token_register()) at += token[r].size();
+    n += token[r].size();
+  }
+  w.one_hot(at, n);
+}
+
+// One SRAG dimension: DivCnt, PassCnt, then the token flip-flops.
+void append_state(std::vector<NetId>& state, const SragPorts& p) {
+  append(state, p.div_q);
+  append(state, p.pass_q);
+  for (const auto& reg : p.token) append(state, reg);
+}
+
+void write_state(LaneWriter& w, const SragPorts& p, const SragModel& m) {
+  w.binary(m.div_counter(), p.div_q.size());
+  w.binary(m.pass_counter(), p.pass_q.size());
+  write_token(w, p.token, m);
+}
+
+// One multi-counter dimension: DivCnt, each register's pass counter, then
+// the token flip-flops.
+void append_state(std::vector<NetId>& state, const MultiSragPorts& p) {
+  append(state, p.div_q);
+  for (const auto& q : p.pass_q) append(state, q);
+  for (const auto& reg : p.token) append(state, reg);
+}
+
+void write_state(LaneWriter& w, const MultiSragPorts& p, const MultiSragModel& m) {
+  w.binary(m.div_counter(), p.div_q.size());
+  // Only the register holding the token has counted since it last wrapped.
+  for (std::size_t i = 0; i < p.pass_q.size(); ++i)
+    w.binary(i == m.token_register() ? m.pass_counter() : 0, p.pass_q[i].size());
+  write_token(w, p.token, m);
+}
+
+/// Gives `rc` the recipe of a row and a column SRAG dimension: state_at
+/// walks copies of their models from reset once, up to the last access.
+template <class Ports, class Model>
+void set_srag_recipe(ReferenceCircuit& rc, Ports row, Ports col, Model row_model,
+                     Model col_model) {
+  append_state(rc.state, row);
+  append_state(rc.state, col);
+  rc.state_at = [flipflops = rc.state.size(), row = std::move(row), col = std::move(col),
+                 row_model, col_model](std::span<const std::size_t> accesses) {
+    Model r = row_model, c = col_model;
+    std::vector<std::uint64_t> words(flipflops, 0);
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < accesses.size(); ++i) {
+      for (; at < accesses[i]; ++at) {
+        r.pulse();
+        c.pulse();
+      }
+      LaneWriter w(words, i);
+      write_state(w, row, r);
+      write_state(w, col, c);
+    }
+    return words;
+  };
+}
+
+// --- registry builds ------------------------------------------------------------
+
+ReferenceCircuit fsm_circuit(const seq::AddressTrace& trace, synth::FsmEncoding enc,
+                             const logic::MinimizeOptions& minimize) {
   const auto rows = trace.rows();
   const auto cols = trace.cols();
   const std::size_t L = trace.length();
@@ -39,8 +152,8 @@ Netlist elaborate_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
   col_spec.select_of_state = cols;
   col_spec.num_select_lines = trace.geometry().width;
 
-  Netlist nl;
-  NetlistBuilder b(nl);
+  ReferenceCircuit rc;
+  NetlistBuilder b(rc.netlist);
   const NetId next = b.input("next");
   const NetId reset = b.input("reset");
   const synth::FsmStyle style{enc, /*flat_mapping=*/true, minimize};
@@ -48,7 +161,25 @@ Netlist elaborate_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
   const auto col_ports = synth::build_fsm(b, col_spec, next, reset, style);
   b.output_bus("rs", row_ports.select);
   b.output_bus("cs", col_ports.select);
-  return nl;
+
+  // Both machines sit in state p at access p: one-hot flip-flop p, or the
+  // binary/gray code of p.
+  append(rc.state, row_ports.state);
+  append(rc.state, col_ports.state);
+  const std::size_t width = row_ports.state.size();
+  rc.state_at = closed_form_recipe(rc.state.size(), [enc, width](LaneWriter& w,
+                                                                 std::size_t p) {
+    for (int machine = 0; machine < 2; ++machine) {
+      if (enc == synth::FsmEncoding::OneHot)
+        w.one_hot(p, width);
+      else
+        w.binary(enc == synth::FsmEncoding::Gray
+                     ? synth::gray_code(static_cast<std::uint32_t>(p))
+                     : p,
+                 width);
+    }
+  });
+  return rc;
 }
 
 bool is_fifo(const seq::AddressTrace& trace) {
@@ -69,7 +200,10 @@ CandidateBuild build_srag(const seq::AddressTrace& trace, const ExploreOptions&)
          << " ffs dC=" << srag.row.div_count << " pC=" << srag.row.pass_count
          << "; col: " << srag.col.num_registers() << " regs/" << srag.col.num_flipflops()
          << " ffs dC=" << srag.col.div_count << " pC=" << srag.col.pass_count;
-    return {ReferenceCircuit{std::move(srag.netlist)}, note.str()};
+    ReferenceCircuit rc{std::move(srag.netlist)};
+    set_srag_recipe(rc, std::move(srag.row_ports), std::move(srag.col_ports),
+                    SragModel(srag.row), SragModel(srag.col));
+    return {std::move(rc), note.str()};
   } catch (const std::invalid_argument& e) {
     return {std::nullopt, e.what()};
   }
@@ -86,10 +220,12 @@ CandidateBuild build_multicounter(const seq::AddressTrace& trace, const ExploreO
   NetlistBuilder b(rc.netlist);
   const NetId next = b.input("next");
   const NetId reset = b.input("reset");
-  const auto rp = build_multi_srag(b, *row_map.config, next, reset);
-  const auto cp = build_multi_srag(b, *col_map.config, next, reset);
+  MultiSragPorts rp = build_multi_srag(b, *row_map.config, next, reset);
+  MultiSragPorts cp = build_multi_srag(b, *col_map.config, next, reset);
   b.output_bus("rs", rp.select);
   b.output_bus("cs", cp.select);
+  set_srag_recipe(rc, std::move(rp), std::move(cp), MultiSragModel(*row_map.config),
+                  MultiSragModel(*col_map.config));
   return {std::move(rc), ""};
 }
 
@@ -101,7 +237,15 @@ GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
             CntAgOptions copt;
             copt.decoder_style = style;
             copt.minimize = opt.minimize;
-            return {ReferenceCircuit{elaborate_cntag(trace, copt)}, note};
+            CntAgPorts ports;
+            ReferenceCircuit rc{elaborate_cntag(trace, copt, &ports)};
+            // The sequence counter holds p at access p.
+            rc.state = std::move(ports.index);
+            rc.state_at = closed_form_recipe(
+                rc.state.size(), [width = rc.state.size()](LaneWriter& w, std::size_t p) {
+                  w.binary(p, width);
+                });
+            return {std::move(rc), note};
           }};
 }
 
@@ -115,18 +259,28 @@ GeneratorEntry fsm_entry(std::string name, synth::FsmEncoding enc) {
                                         " states (sequence has " +
                                         std::to_string(trace.length()) + ")"};
             }
-            return {ReferenceCircuit{elaborate_fsm_2d(trace, enc, opt.minimize)}, ""};
+            return {fsm_circuit(trace, enc, opt.minimize), ""};
           }};
 }
 
 CandidateBuild build_sfm(const seq::AddressTrace& trace, const ExploreOptions&) {
   if (!is_fifo(trace)) return {std::nullopt, "SFM supports FIFO access only"};
-  // The head pointer walks the FIFO order, i.e. the linear trace.
-  return {ReferenceCircuit{elaborate_sfm(trace.geometry().size()),
-                           {{"next_read", true}, {"next_write", false}},
-                           "rsel",
-                           ""},
-          "one-hot FIFO pointers (1-D memory)"};
+  // The head pointer walks the FIFO order, i.e. the linear trace; the tail
+  // pointer never moves.  At access p the read ring holds its token at p
+  // and the write ring at 0.
+  const std::size_t cells = trace.geometry().size();
+  SfmPorts ports;
+  ReferenceCircuit rc{elaborate_sfm(cells, &ports),
+                      {{"next_read", true}, {"next_write", false}},
+                      "rsel",
+                      ""};
+  append(rc.state, ports.write_select);
+  append(rc.state, ports.read_select);
+  rc.state_at = closed_form_recipe(rc.state.size(), [cells](LaneWriter& w, std::size_t p) {
+    w.one_hot(0, cells);
+    w.one_hot(p, cells);
+  });
+  return {std::move(rc), "one-hot FIFO pointers (1-D memory)"};
 }
 
 std::vector<GeneratorEntry> build_registry() {

@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,6 +110,17 @@ struct ReferenceCircuit {
   std::vector<std::pair<std::string, bool>> drive = {{"next", true}};
   std::string row_bus = "rs";
   std::string col_bus = "cs";
+  /// Where the replay stands at an access, for segmented verification
+  /// (core/verify.hpp): every flip-flop's Q net once, and `state_at`, which
+  /// maps up to 64 ascending accesses (each below the trace length) to one
+  /// lane word per flip-flop in `state` order — bit i is the flip-flop's
+  /// value when access accesses[i] is presented, after the reset cycle and
+  /// accesses[i] replay cycles (the words WordSimulator::set_state pokes).
+  /// Made by the code that builds the netlist; pure.  Without it, or when
+  /// `state` misses or repeats a flip-flop, the trace replays as one
+  /// segment from reset.
+  std::vector<netlist::NetId> state = {};
+  std::function<std::vector<std::uint64_t>(std::span<const std::size_t>)> state_at = {};
 };
 
 /// What a registry entry builds for one trace: the candidate's circuit and

@@ -43,7 +43,7 @@ Srag2dBuild build_srag_2d_for_trace(const seq::AddressTrace& trace) {
   Srag2dBuild out;
   out.row = std::move(*row_map.config);
   out.col = std::move(*col_map.config);
-  out.netlist = elaborate_srag_2d(out.row, out.col);
+  out.netlist = elaborate_srag_2d(out.row, out.col, &out.row_ports, &out.col_ports);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include "core/srag_config.hpp"
+#include "core/srag_elab.hpp"
 #include "netlist/netlist.hpp"
 #include "seq/trace.hpp"
 #include "tech/buffering.hpp"
@@ -33,6 +34,8 @@ struct Srag2dBuild {
   SragConfig row;
   SragConfig col;
   netlist::Netlist netlist;
+  SragPorts row_ports;
+  SragPorts col_ports;
 };
 Srag2dBuild build_srag_2d_for_trace(const seq::AddressTrace& trace);
 

@@ -135,6 +135,7 @@ MultiSragPorts build_multi_srag(NetlistBuilder& b, const MultiSragConfig& cfg, N
     spec.modulo = cfg.div_count;
     const auto div = synth::build_counter(b, spec, next, reset);
     ports.enable = b.and2(next, div.wrap);
+    ports.div_q = div.q;
   }
 
   const std::size_t n_regs = cfg.num_registers();
@@ -148,6 +149,7 @@ MultiSragPorts build_multi_srag(NetlistBuilder& b, const MultiSragConfig& cfg, N
   // passes the token on every traversal and needs no counter at all — the
   // "no counters necessary" simplification the paper mentions.
   std::vector<NetId> pass(n_regs, kConst1);
+  ports.pass_q.resize(n_regs);
   for (std::size_t i = 0; i < n_regs; ++i) {
     if (n_regs == 1) break;  // token never leaves a single register
     if (cfg.pass_counts[i] == cfg.registers[i].size()) continue;  // pass == 1
@@ -157,6 +159,7 @@ MultiSragPorts build_multi_srag(NetlistBuilder& b, const MultiSragConfig& cfg, N
     spec.modulo = cfg.pass_counts[i];
     const auto cnt = synth::build_counter(b, spec, b.and2(ports.enable, token_here), reset);
     pass[i] = cnt.wrap;
+    ports.pass_q[i] = cnt.q;
   }
 
   for (std::size_t i = 0; i < n_regs; ++i) {
@@ -185,6 +188,7 @@ MultiSragPorts build_multi_srag(NetlistBuilder& b, const MultiSragConfig& cfg, N
   for (std::size_t i = 0; i < n_regs; ++i)
     for (std::size_t j = 0; j < q[i].size(); ++j)
       ports.select[cfg.registers[i][j]] = q[i][j];
+  ports.token = std::move(q);
   return ports;
 }
 

@@ -45,6 +45,13 @@ class MultiSragModel {
   void reset();
   std::vector<std::uint32_t> generate(std::size_t n);
 
+  // Introspection, as SragModel's: pass_counter() counts the enabled shifts
+  // since the token entered token_register().
+  std::size_t token_register() const { return reg_; }
+  std::size_t token_position() const { return pos_; }
+  std::uint32_t div_counter() const { return div_; }
+  std::uint32_t pass_counter() const { return pass_; }
+
  private:
   MultiSragConfig config_;
   std::size_t reg_ = 0, pos_ = 0;
@@ -66,6 +73,14 @@ MultiMapResult map_sequence_multicounter(std::span<const std::uint32_t> seq,
 struct MultiSragPorts {
   std::vector<netlist::NetId> select;
   netlist::NetId enable = netlist::kInvalidNet;
+  /// Flip-flop outputs, LSB first: the DivCnt bits (empty when dC == 1),
+  /// pass_q[i], register i's pass counter (empty when it has none), and
+  /// token[i][j], the flip-flop driving line registers[i][j].  Register i's
+  /// counter holds MultiSragModel::pass_counter() while the token is in it
+  /// and 0 otherwise.
+  std::vector<netlist::NetId> div_q;
+  std::vector<std::vector<netlist::NetId>> pass_q;
+  std::vector<std::vector<netlist::NetId>> token;
 };
 
 /// Gate-level elaboration: per-register pass counters gated by a token-

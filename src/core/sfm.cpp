@@ -1,6 +1,7 @@
 #include "core/sfm.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "synth/shift.hpp"
 
@@ -19,15 +20,16 @@ SfmPorts build_sfm(NetlistBuilder& b, std::size_t cells, NetId next_write, NetId
   return ports;
 }
 
-Netlist elaborate_sfm(std::size_t cells) {
+Netlist elaborate_sfm(std::size_t cells, SfmPorts* ports_out) {
   Netlist nl;
   NetlistBuilder b(nl);
   const NetId nw = b.input("next_write");
   const NetId nr = b.input("next_read");
   const NetId rst = b.input("reset");
-  const SfmPorts ports = build_sfm(b, cells, nw, nr, rst);
+  SfmPorts ports = build_sfm(b, cells, nw, nr, rst);
   b.output_bus("wsel", ports.write_select);
   b.output_bus("rsel", ports.read_select);
+  if (ports_out) *ports_out = std::move(ports);
   return nl;
 }
 

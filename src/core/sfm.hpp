@@ -22,7 +22,8 @@ SfmPorts build_sfm(netlist::NetlistBuilder& b, std::size_t cells,
                    netlist::NetId reset);
 
 /// Standalone netlist with inputs "next_write"/"next_read"/"reset" and output
-/// buses "wsel[...]"/"rsel[...]".
-netlist::Netlist elaborate_sfm(std::size_t cells);
+/// buses "wsel[...]"/"rsel[...]".  The ports go to `ports` when given; the
+/// select lines are the pointer flip-flops themselves.
+netlist::Netlist elaborate_sfm(std::size_t cells, SfmPorts* ports = nullptr);
 
 }  // namespace addm::core

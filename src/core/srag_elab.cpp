@@ -1,5 +1,7 @@
 #include "core/srag_elab.hpp"
 
+#include <utility>
+
 #include "synth/counter.hpp"
 
 namespace addm::core {
@@ -20,6 +22,7 @@ SragPorts build_srag(NetlistBuilder& b, const SragConfig& cfg, NetId next, NetId
 
   // DivCnt + enable derivation.
   NetId enable;
+  std::vector<NetId> div_q;
   if (cfg.div_count == 1) {
     enable = next;
   } else {
@@ -28,8 +31,11 @@ SragPorts build_srag(NetlistBuilder& b, const SragConfig& cfg, NetId next, NetId
     spec.modulo = cfg.div_count;
     const auto div = synth::build_counter(b, spec, next, reset);
     enable = b.and2(next, div.wrap);  // wrap == (DivCnt == dC-1)
+    div_q = div.q;
   }
-  return build_srag_body(b, cfg, enable, reset);
+  SragPorts ports = build_srag_body(b, cfg, enable, reset);
+  ports.div_q = std::move(div_q);
+  return ports;
 }
 
 SragPorts build_srag_with_enable(NetlistBuilder& b, const SragConfig& cfg, NetId enable,
@@ -55,6 +61,7 @@ SragPorts build_srag_body(NetlistBuilder& b, const SragConfig& cfg, NetId enable
     spec.modulo = cfg.pass_count;
     const auto pass_cnt = synth::build_counter(b, spec, ports.enable, reset);
     ports.pass = pass_cnt.wrap;
+    ports.pass_q = pass_cnt.q;
   }
 
   // Shift registers. Flip-flop nets are created up front so register heads
@@ -89,6 +96,7 @@ SragPorts build_srag_body(NetlistBuilder& b, const SragConfig& cfg, NetId enable
   // Cycle-completion event: the enabled shift on which the token leaves the
   // tail of the last register for registers[0][0] (pass asserted there).
   ports.cycle_complete = b.and2(ports.enable, b.and2(ports.pass, q[n_regs - 1].back()));
+  ports.token = std::move(q);
   return ports;
 }
 }  // namespace
@@ -103,15 +111,18 @@ Netlist elaborate_srag(const SragConfig& cfg) {
   return nl;
 }
 
-Netlist elaborate_srag_2d(const SragConfig& row_cfg, const SragConfig& col_cfg) {
+Netlist elaborate_srag_2d(const SragConfig& row_cfg, const SragConfig& col_cfg,
+                          SragPorts* row_ports, SragPorts* col_ports) {
   Netlist nl;
   NetlistBuilder b(nl);
   const NetId next = b.input("next");
   const NetId reset = b.input("reset");
-  const SragPorts row = build_srag(b, row_cfg, next, reset);
-  const SragPorts col = build_srag(b, col_cfg, next, reset);
+  SragPorts row = build_srag(b, row_cfg, next, reset);
+  SragPorts col = build_srag(b, col_cfg, next, reset);
   b.output_bus("rs", row.select);
   b.output_bus("cs", col.select);
+  if (row_ports) *row_ports = std::move(row);
+  if (col_ports) *col_ports = std::move(col);
   return nl;
 }
 

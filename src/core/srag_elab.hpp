@@ -31,6 +31,14 @@ struct SragPorts {
   /// the token cycle (token about to re-enter registers[0][0]). Used by the
   /// shared-control composition (core/shared_control.hpp).
   netlist::NetId cycle_complete = netlist::kInvalidNet;
+  /// Flip-flop outputs, LSB first: the DivCnt bits (empty when DivCnt is
+  /// omitted or the caller provides the enable), the PassCnt bits (empty
+  /// when PassCnt is omitted), and token[i][j], the flip-flop driving line
+  /// registers[i][j].  Their values are SragModel's div_counter(),
+  /// pass_counter() and token position (core/explorer.cpp's replay recipe).
+  std::vector<netlist::NetId> div_q;
+  std::vector<netlist::NetId> pass_q;
+  std::vector<std::vector<netlist::NetId>> token;
 };
 
 /// Appends one SRAG dimension to `b`, driven by existing nets `next`/`reset`.
@@ -50,7 +58,10 @@ SragPorts build_srag_with_enable(netlist::NetlistBuilder& b, const SragConfig& c
 netlist::Netlist elaborate_srag(const SragConfig& cfg);
 
 /// Builds the full two-dimensional generator: inputs "next"/"reset", output
-/// buses "rs[...]" (row selects) and "cs[...]" (column selects).
-netlist::Netlist elaborate_srag_2d(const SragConfig& row_cfg, const SragConfig& col_cfg);
+/// buses "rs[...]" (row selects) and "cs[...]" (column selects).  The row
+/// and column ports go to `row_ports`/`col_ports` when given.
+netlist::Netlist elaborate_srag_2d(const SragConfig& row_cfg, const SragConfig& col_cfg,
+                                   SragPorts* row_ports = nullptr,
+                                   SragPorts* col_ports = nullptr);
 
 }  // namespace addm::core

@@ -11,6 +11,38 @@ constexpr NetId kDrvNone = 0;
 constexpr NetId kDrvPrimaryInput = 1;
 constexpr NetId kDrvConst = 2;
 constexpr NetId kDrvCellBase = 3;  // cell index i stored as i + kDrvCellBase
+
+/// The index i when `name` is exactly "<prefix>[i]" with i written as
+/// std::to_string writes it (no sign, no leading zero); nullopt otherwise or
+/// when i >= `limit`, which no contiguous bus of `limit` ports can reach.
+std::optional<std::size_t> bus_index(std::string_view name, std::string_view prefix,
+                                     std::size_t limit) {
+  if (name.size() < prefix.size() + 3 || name.compare(0, prefix.size(), prefix) != 0 ||
+      name[prefix.size()] != '[' || name.back() != ']')
+    return std::nullopt;
+  const std::string_view digits =
+      name.substr(prefix.size() + 1, name.size() - prefix.size() - 2);
+  if (digits.size() > 1 && digits[0] == '0') return std::nullopt;
+  std::size_t i = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9' || i >= limit) return std::nullopt;
+    i = i * 10 + static_cast<std::size_t>(c - '0');
+  }
+  if (i >= limit) return std::nullopt;
+  return i;
+}
+
+std::vector<NetId> find_bus(std::span<const std::string> names,
+                            std::span<const NetId> nets, std::string_view prefix) {
+  std::vector<NetId> slot(names.size(), kInvalidNet);
+  for (std::size_t p = 0; p < names.size(); ++p) {
+    const auto i = bus_index(names[p], prefix, names.size());
+    if (i && slot[*i] == kInvalidNet) slot[*i] = nets[p];
+  }
+  const auto end = std::find(slot.begin(), slot.end(), kInvalidNet);
+  slot.erase(end, slot.end());
+  return slot;
+}
 }  // namespace
 
 Netlist::Netlist() {
@@ -96,6 +128,14 @@ std::optional<NetId> Netlist::find_output(std::string_view name) const {
   for (std::size_t i = 0; i < output_names_.size(); ++i)
     if (output_names_[i] == name) return output_nets_[i];
   return std::nullopt;
+}
+
+std::vector<NetId> Netlist::find_input_bus(std::string_view prefix) const {
+  return find_bus(input_names_, input_nets_, prefix);
+}
+
+std::vector<NetId> Netlist::find_output_bus(std::string_view prefix) const {
+  return find_bus(output_names_, output_nets_, prefix);
 }
 
 std::optional<std::size_t> Netlist::driver_of(NetId net) const {

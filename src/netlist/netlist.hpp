@@ -87,6 +87,12 @@ class Netlist {
   /// Net of the primary input/output with the given name, if any.
   std::optional<NetId> find_input(std::string_view name) const;
   std::optional<NetId> find_output(std::string_view name) const;
+  /// Nets of the bus "<prefix>[0]", "<prefix>[1]", ... among the primary
+  /// inputs/outputs: the contiguous run of indices from 0, resolved in one
+  /// pass over the port names; empty when "<prefix>[0]" is absent.  Where
+  /// two ports share a name the first wins, as in find_input/find_output.
+  std::vector<NetId> find_input_bus(std::string_view prefix) const;
+  std::vector<NetId> find_output_bus(std::string_view prefix) const;
 
   /// Index of the cell driving `net`, if a cell drives it.
   std::optional<std::size_t> driver_of(NetId net) const;

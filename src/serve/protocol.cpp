@@ -5,25 +5,14 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/decimal.hpp"
 #include "core/explore_option_table.hpp"
 
 namespace addm::serve {
 
 namespace {
 
-// Strict non-negative decimal (no sign, no suffix, no leading junk).
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return false;
-    v = v * 10 + d;
-  }
-  out = v;
-  return true;
-}
+using core::parse_u64;
 
 // "WxH" with positive dimensions — the CLI's --base grammar.
 bool parse_geometry_sv(std::string_view s, seq::ArrayGeometry& g) {
@@ -1017,8 +1006,15 @@ Cut cut_reply_frames(RecvBuffer& in, RequestKind kind, Reply& out,
 }
 
 Cut cut_request_line(RecvBuffer& in, Request& out, ErrorInfo& error) {
+  // The cap holds whether or not the line's '\n' came in the read that
+  // crossed it.
+  const auto over_the_cap = [&error] {
+    error = {"bad-request", "request line exceeds the 64 MiB cap"};
+    return Cut::kFatal;
+  };
   std::string line;
   while (cut_line(in, line)) {
+    if (line.size() > kMaxFramePayload) return over_the_cap();
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     // '\n' stays a trustworthy boundary after a bad line: keep reading.
@@ -1026,10 +1022,7 @@ Cut cut_request_line(RecvBuffer& in, Request& out, ErrorInfo& error) {
     error.code = "bad-request";
     return Cut::kRejected;
   }
-  if (in.bytes.size() > kMaxFramePayload) {
-    error = {"bad-request", "request line exceeds the 64 MiB cap"};
-    return Cut::kFatal;
-  }
+  if (in.bytes.size() > kMaxFramePayload) return over_the_cap();
   return Cut::kNeedMore;
 }
 

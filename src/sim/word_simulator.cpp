@@ -47,12 +47,7 @@ namespace {
 std::vector<NetId> checked_bus_nets(const netlist::Netlist& nl,
                                     std::string_view prefix, std::uint64_t value,
                                     const char* who) {
-  std::vector<NetId> nets;
-  for (int i = 0;; ++i) {
-    const auto net = nl.find_input(std::string(prefix) + "[" + std::to_string(i) + "]");
-    if (!net) break;
-    nets.push_back(*net);
-  }
+  std::vector<NetId> nets = nl.find_input_bus(prefix);
   if (nets.empty())
     throw std::invalid_argument(std::string(who) + ": unknown bus " +
                                 std::string(prefix));
@@ -86,6 +81,21 @@ void WordSimulator::set_bus_lane(std::string_view prefix, std::size_t lane,
   inputs_dirty_ = true;
 }
 
+void WordSimulator::set_state(std::span<const NetId> flipflops,
+                              std::span<const std::uint64_t> words, std::uint64_t lanes) {
+  if (flipflops.size() != words.size())
+    throw std::invalid_argument("set_state: one word per flip-flop expected");
+  for (NetId q : flipflops) {
+    const auto cell = nl_->driver_of(q);
+    if (!cell || !netlist::is_sequential(nl_->cell(*cell).type))
+      throw std::invalid_argument("set_state: net " + std::to_string(q) +
+                                  " is not a flip-flop output");
+  }
+  for (std::size_t k = 0; k < flipflops.size(); ++k)
+    values_[flipflops[k]] = (values_[flipflops[k]] & ~lanes) | (words[k] & lanes);
+  inputs_dirty_ = true;
+}
+
 void WordSimulator::eval() {
   // One linear pass over the level-major stream: every op's inputs are final
   // before it runs, and each bitwise expression advances all 64 lanes.
@@ -111,8 +121,9 @@ void WordSimulator::eval() {
 }
 
 void WordSimulator::step() {
-  // Without an input change since the last eval() the pre-edge values are
-  // already settled (every replay cycle after reset), so skip that pass.
+  // Without an input or state change since the last eval() the pre-edge
+  // values are already settled (every replay cycle after reset), so skip
+  // that pass.
   if (inputs_dirty_) eval();
   if (count_toggles_) prev_ = values_;
 
@@ -179,12 +190,7 @@ std::uint64_t WordSimulator::get(std::string_view name) const {
 }
 
 std::vector<NetId> WordSimulator::collect_output_bus(std::string_view prefix) const {
-  std::vector<NetId> nets;
-  for (int i = 0;; ++i) {
-    const auto net = nl_->find_output(std::string(prefix) + "[" + std::to_string(i) + "]");
-    if (!net) break;
-    nets.push_back(*net);
-  }
+  std::vector<NetId> nets = nl_->find_output_bus(prefix);
   if (nets.empty())
     throw std::invalid_argument("unknown output bus " + std::string(prefix));
   return nets;

@@ -56,11 +56,20 @@ class WordSimulator {
   /// Drives one lane of a bus, leaving the other 63 lanes untouched.
   void set_bus_lane(std::string_view prefix, std::size_t lane, std::uint64_t value);
 
+  // --- poking state ------------------------------------------------------------
+  /// Bit l of words[k] becomes lane l of flip-flop output flipflops[k], in
+  /// the lanes set in `lanes`; other lanes keep their state.  Like an input
+  /// change, it reaches the combinational nets at the next eval() or step().
+  /// Throws std::invalid_argument, changing nothing, when the spans differ
+  /// in length or a net is not the output of a flip-flop.
+  void set_state(std::span<const netlist::NetId> flipflops,
+                 std::span<const std::uint64_t> words, std::uint64_t lanes = kAllLanes);
+
   // --- stepping ---------------------------------------------------------------
   /// Re-evaluates combinational logic from current inputs/state (all lanes).
   void eval();
   /// eval(), clock edge, eval(). Advances one cycle in every lane; the first
-  /// eval() is skipped when no input was set since the last one.
+  /// eval() is skipped when no input or state was set since the last one.
   void step();
   /// Convenience: step `n` times with current inputs held.
   void run(std::size_t n);
@@ -103,7 +112,7 @@ class WordSimulator {
   std::vector<std::uint64_t> toggles_;  // per net, summed over lanes
   std::uint64_t cycles_ = 0;
   bool count_toggles_ = false;
-  bool inputs_dirty_ = true;  // an input changed since the last eval()
+  bool inputs_dirty_ = true;  // an input or state changed since the last eval()
 };
 
 }  // namespace addm::sim

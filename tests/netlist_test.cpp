@@ -2,6 +2,9 @@
 // validation, topological ordering, fanout accounting and DOT export.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "netlist/builder.hpp"
 #include "netlist/dot.hpp"
 #include "netlist/netlist.hpp"
@@ -16,6 +19,38 @@ TEST(CellTraits, AritiesMatchConventions) {
   EXPECT_TRUE(is_sequential(CellType::Dff));
   EXPECT_FALSE(is_sequential(CellType::Nand2));
   EXPECT_EQ(cell_name(CellType::Xnor2), "XNOR2");
+}
+
+/// The per-line lookup find_input_bus/find_output_bus replace: names
+/// "<prefix>[i]" for i = 0, 1, ... until one is missing.
+std::vector<NetId> bus_by_names(const Netlist& nl, const std::string& prefix, bool inputs) {
+  std::vector<NetId> nets;
+  for (int i = 0;; ++i) {
+    const std::string name = prefix + "[" + std::to_string(i) + "]";
+    const auto net = inputs ? nl.find_input(name) : nl.find_output(name);
+    if (!net) return nets;
+    nets.push_back(*net);
+  }
+}
+
+TEST(Netlist, FindBusResolvesTheContiguousRunFromZero) {
+  Netlist nl;
+  NetlistBuilder b(nl);
+  const NetId a = b.input("a[1]");
+  const NetId c = b.input("a[0]");
+  b.input("a[3]");  // past the gap at 2
+  b.input("a[01]");  // not how index 1 is written
+  b.input("ab[2]");
+  b.input("a[2]x");
+  for (const char* name : {"s[1]", "s[0]", "s[1]", "s[2]", "sel[0]", "s[-1]", "s[]"})
+    nl.add_output(name, nl.new_net());
+  EXPECT_EQ(nl.find_input_bus("a"), (std::vector<NetId>{c, a}));
+  EXPECT_EQ(nl.find_input_bus("a"), bus_by_names(nl, "a", true));
+  EXPECT_EQ(nl.find_output_bus("s").size(), 3u);
+  EXPECT_EQ(nl.find_output_bus("s"), bus_by_names(nl, "s", false));  // first s[1] wins
+  EXPECT_EQ(nl.find_output_bus("sel"), bus_by_names(nl, "sel", false));
+  EXPECT_TRUE(nl.find_output_bus("a").empty());
+  EXPECT_TRUE(nl.find_input_bus("zz").empty());
 }
 
 TEST(Netlist, ConstantsPreexist) {

@@ -366,31 +366,40 @@ TEST(ServeServer, PipelinedRequestsAreAnsweredInOrderOnBothWires) {
 
 TEST(ServeServer, JsonLineOverTheCapGetsOneErrorLineAndCloses) {
   TestServer ts;
-  RawConn conn(ts.server.bound_port());
-  // One byte over the cap and no '\n': the daemon reads every byte sent,
-  // so its close after the error line is clean.
+  // A ping line one byte over the cap, sent without its '\n' and with it.
+  // The '\n' comes with the line's last byte, so it usually arrives in the
+  // read that crosses the cap.  The daemon reads every byte sent, so its
+  // close after the error line is clean; the half-close lets a daemon that
+  // answered instead close too, so a regression fails rather than hangs.
   const std::string head = "{\"op\":\"ping\",\"pad\":\"";
-  conn.send_bytes(head);
-  const std::string block(1u << 20, 'x');
-  for (std::size_t left = kMaxFramePayload + 1 - head.size(); left > 0;) {
-    const std::size_t n = std::min(left, block.size());
-    conn.send_bytes(std::string_view(block).substr(0, n));
-    left -= n;
+  const std::string foot = "\"}";
+  std::string line = head;
+  line.append(kMaxFramePayload + 1 - head.size() - foot.size(), 'x');
+  line += foot;
+  for (const bool newline : {false, true}) {
+    SCOPED_TRACE(newline ? "with its newline" : "without a newline");
+    RawConn conn(ts.server.bound_port());
+    const std::size_t block = 1u << 20;
+    for (std::size_t at = 0; at < kMaxFramePayload; at += block)
+      conn.send_bytes(std::string_view(line).substr(at, std::min(block, kMaxFramePayload - at)));
+    conn.send_bytes(line.substr(kMaxFramePayload) + (newline ? "\n" : ""));
+    conn.half_close();
+    RecvBuffer in;
+    in.bytes = conn.drain();  // returns only once the daemon closes
+    Reply reply;
+    std::string error;
+    ASSERT_EQ(kJsonLineCodec.cut_reply(in, RequestKind::kPing, reply, error), Cut::kMessage)
+        << error;
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.error.code, "bad-request");
+    EXPECT_EQ(reply.error.message, "request line exceeds the 64 MiB cap");
+    EXPECT_TRUE(in.bytes.empty());
   }
-  RecvBuffer in;
-  in.bytes = conn.drain();  // returns only once the daemon closes
-  Reply reply;
-  std::string error;
-  ASSERT_EQ(kJsonLineCodec.cut_reply(in, RequestKind::kPing, reply, error), Cut::kMessage)
-      << error;
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.error.code, "bad-request");
-  EXPECT_EQ(reply.error.message, "request line exceeds the 64 MiB cap");
-  EXPECT_TRUE(in.bytes.empty());
 
   // The daemon still serves the next connection.
   ServeClient client = ts.connect(/*json=*/true);
   std::string banner;
+  std::string error;
   ASSERT_TRUE(client.ping(banner, error)) << error;
 }
 

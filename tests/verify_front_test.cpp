@@ -1,12 +1,19 @@
 // Tests for the --verify-front exploration stage (core/verify.hpp): Pareto
 // points get deterministic verification verdicts appended to their notes,
-// non-front points are untouched, failures are reported (not thrown), and
-// the options fingerprint stays pinned for the default options.
+// non-front points are untouched, failures are reported (not thrown) at the
+// access a scalar replay from reset first gets wrong, whatever the replay
+// recipe says, every registry recipe matches a scalar replay, and the
+// options fingerprint stays pinned for the default options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <optional>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/batch_explorer.hpp"
@@ -93,8 +100,9 @@ netlist::Netlist with_cell_type(const netlist::Netlist& nl, std::size_t target,
   return m;
 }
 
-/// The gate of the same arity that computes the complementary or dual
-/// function; nullopt for cells that are not gates.
+/// The cell of the same arity that computes the complementary or dual
+/// function — for a flip-flop, the one with the other reset value; nullopt
+/// for the other flip-flops.
 std::optional<netlist::CellType> swapped_gate(netlist::CellType t) {
   using netlist::CellType;
   switch (t) {
@@ -106,8 +114,20 @@ std::optional<netlist::CellType> swapped_gate(netlist::CellType t) {
     case CellType::Or2:   return CellType::And2;
     case CellType::Xor2:  return CellType::Xnor2;
     case CellType::Xnor2: return CellType::Xor2;
+    case CellType::DffER: return CellType::DffES;
+    case CellType::DffES: return CellType::DffER;
     default:              return std::nullopt;
   }
+}
+
+/// `s` after the verify protocol's reset cycle, at access 0: "reset" and
+/// the deasserted `drive` inputs for one cycle, then `drive` applied.
+void start_scalar_replay(sim::Simulator& s, const ReferenceCircuit& rc) {
+  s.set("reset", true);
+  for (const auto& [name, value] : rc.drive) s.set(name, false);
+  s.step();
+  s.set("reset", false);
+  for (const auto& [name, value] : rc.drive) s.set(name, value);
 }
 
 /// First cycle at which a scalar replay of `rc` under the verify protocol
@@ -116,11 +136,7 @@ std::optional<netlist::CellType> swapped_gate(netlist::CellType t) {
 std::optional<std::size_t> scalar_first_wrong_cycle(const ReferenceCircuit& rc,
                                                     const seq::AddressTrace& trace) {
   sim::Simulator s(rc.netlist);
-  s.set("reset", true);
-  for (const auto& [name, value] : rc.drive) s.set(name, false);
-  s.step();
-  s.set("reset", false);
-  for (const auto& [name, value] : rc.drive) s.set(name, value);
+  start_scalar_replay(s, rc);
   for (std::size_t k = 0; k < trace.length(); ++k) {
     const std::uint32_t a = trace.linear()[k];
     const bool ok = rc.col_bus.empty()
@@ -133,20 +149,78 @@ std::optional<std::size_t> scalar_first_wrong_cycle(const ReferenceCircuit& rc,
   return std::nullopt;
 }
 
+const GeneratorEntry& registry_entry(const std::string& name) {
+  for (const GeneratorEntry& e : generator_registry())
+    if (e.name == name) return e;
+  throw std::invalid_argument("no registry entry " + name);
+}
+
+using StateAt = std::function<std::vector<std::uint64_t>(std::span<const std::size_t>)>;
+
+/// A recipe that answers each access with the state of the next one (the
+/// last access with its own): wrong in every lane whose state moves, so
+/// the segment chain breaks after lane 0.
+StateAt shifted_by_one(StateAt state_at, std::size_t length) {
+  return [state_at = std::move(state_at), length](std::span<const std::size_t> accesses) {
+    std::vector<std::size_t> next(accesses.begin(), accesses.end());
+    for (std::size_t& a : next) a = std::min(a + 1, length - 1);
+    return state_at(next);
+  };
+}
+
+TEST(VerifyFront, RecipesMatchAScalarReplayAtEveryAccess) {
+  // Every feasible build of every registry entry: `state` names each
+  // flip-flop exactly once, and state_at gives the flip-flop values a
+  // scalar replay from reset shows at every access.
+  std::size_t builds = 0;
+  for (const seq::AddressTrace& trace : seq::scaled_suite({8, 8}, 4)) {
+    for (const GeneratorEntry& e : generator_registry()) {
+      if (!e.applicable(trace, {})) continue;
+      const auto rc = e.reference(trace, {});
+      if (!rc) continue;
+      SCOPED_TRACE(e.name + " on " + trace.name());
+      ++builds;
+      std::multiset<netlist::NetId> ffs;
+      for (const netlist::Cell& c : rc->netlist.cells())
+        if (netlist::is_sequential(c.type)) ffs.insert(c.output);
+      ASSERT_EQ(std::multiset<netlist::NetId>(rc->state.begin(), rc->state.end()), ffs);
+      ASSERT_TRUE(static_cast<bool>(rc->state_at));
+
+      sim::Simulator s(rc->netlist);
+      start_scalar_replay(s, *rc);
+      for (std::size_t from = 0; from < trace.length(); from += 64) {
+        std::vector<std::size_t> accesses;
+        std::vector<std::uint64_t> want(rc->state.size(), 0);
+        for (std::size_t k = from; k < std::min(from + 64, trace.length()); ++k) {
+          for (std::size_t f = 0; f < rc->state.size(); ++f)
+            if (s.value(rc->state[f])) want[f] |= std::uint64_t{1} << (k - from);
+          accesses.push_back(k);
+          s.step();
+        }
+        ASSERT_EQ(rc->state_at(accesses), want) << "accesses from " << from;
+      }
+    }
+  }
+  EXPECT_EQ(builds, 273u);
+}
+
 TEST(VerifyFront, GateMutantsOfRealReferencesFailAtTheScalarCycle) {
-  // Every single-gate type swap of two sequential registry references: the
-  // word-parallel verify must fail exactly when a scalar replay of the same
-  // mutant shows a wrong hot line, and name that replay's first wrong cycle.
-  // A stale pre-edge value in the word simulator would move that cycle or
-  // hide the failure.
-  const auto trace = seq::block_raster({8, 8}, 4, 4);
-  for (const char* arch : {"CntAG-flat", "SRAG"}) {
-    SCOPED_TRACE(arch);
-    const GeneratorEntry* entry = nullptr;
-    for (const GeneratorEntry& e : generator_registry())
-      if (e.name == arch) entry = &e;
-    ASSERT_NE(entry, nullptr);
-    const auto rc = entry->reference(trace, {});
+  // Every single-gate type swap and every DffER/DffES swap (a wrong reset
+  // value) of every registry reference: the word-parallel verify must fail
+  // exactly when a scalar replay of the same mutant shows a wrong hot line,
+  // and name that replay's first wrong cycle.  Each mutant keeps the real
+  // circuit's recipe, so its lanes start from states the mutant may never
+  // reach, and is verified once more with a recipe shifted by one access.
+  // A stale pre-edge value in the word simulator, or a lane trusted past a
+  // broken chain, would move that cycle or hide the failure.  Every entry
+  // but the SFM (whose mutants all go wrong at access 0) must also have a
+  // mutant that first goes wrong at access 2 or later, in a poked lane.
+  const auto raster = seq::block_raster({8, 8}, 4, 4);
+  const auto fifo = seq::incremental({8, 8});  // the SFM replays FIFOs only
+  for (const GeneratorEntry& e : generator_registry()) {
+    SCOPED_TRACE(e.name);
+    const seq::AddressTrace& trace = e.name == "SFM" ? fifo : raster;
+    const auto rc = e.reference(trace, {});
     ASSERT_TRUE(rc.has_value());
     ASSERT_EQ(verify_reference_against_trace(*rc, trace), std::nullopt);
 
@@ -158,21 +232,99 @@ TEST(VerifyFront, GateMutantsOfRealReferencesFailAtTheScalarCycle) {
       ReferenceCircuit mutant = *rc;
       mutant.netlist = with_cell_type(rc->netlist, i, *swapped);
       ASSERT_TRUE(mutant.netlist.validate().empty());
+      ReferenceCircuit shifted = mutant;
+      shifted.state_at = shifted_by_one(rc->state_at, trace.length());
 
       const auto wrong = scalar_first_wrong_cycle(mutant, trace);
-      const auto err = verify_reference_against_trace(mutant, trace);
-      if (!wrong) {
-        EXPECT_EQ(err, std::nullopt) << *err;
-        continue;
+      for (const ReferenceCircuit* m : {&mutant, &shifted}) {
+        const auto err = verify_reference_against_trace(*m, trace);
+        if (!wrong) {
+          EXPECT_EQ(err, std::nullopt) << *err;
+          continue;
+        }
+        ASSERT_TRUE(err.has_value()) << "scalar replay fails at cycle " << *wrong;
+        EXPECT_EQ(err->rfind("cycle " + std::to_string(*wrong) + ":", 0), 0u) << *err;
       }
+      if (!wrong) continue;
       ++exposed;
       if (*wrong >= 2) ++late;
-      ASSERT_TRUE(err.has_value()) << "scalar replay fails at cycle " << *wrong;
-      EXPECT_EQ(err->rfind("cycle " + std::to_string(*wrong) + ":", 0), 0u) << *err;
     }
     EXPECT_GT(exposed, 0u);
-    EXPECT_GT(late, 0u);
+    if (e.name != "SFM") {
+      EXPECT_GT(late, 0u);
+    }
   }
+}
+
+TEST(VerifyFront, SegmentBoundariesVerify) {
+  // One segment (1 access), one access per lane (63, 64), two or three
+  // per lane with a shorter last segment for 65 and 127, and a prime length
+  // above 4,096: every registry build replays.  (The CntAG counter needs
+  // two states, so a single access builds no CntAG, and the FSMs stop at
+  // max_fsm_states.)
+  const seq::ArrayGeometry shapes[] = {{1, 1},  {9, 7},  {8, 8},    {13, 5},
+                                       {127, 1}, {43, 3}, {4099, 1}};
+  for (const seq::ArrayGeometry& g : shapes) {
+    const auto trace = seq::incremental(g);
+    SCOPED_TRACE(std::to_string(trace.length()) + " accesses");
+    for (const GeneratorEntry& e : generator_registry()) {
+      if (trace.length() == 1 && e.name.rfind("CntAG", 0) == 0) continue;
+      const auto rc = e.reference(trace, {});
+      if (!rc) {
+        EXPECT_GT(trace.length(), ExploreOptions{}.max_fsm_states) << e.name;
+        continue;
+      }
+      EXPECT_EQ(verify_reference_against_trace(*rc, trace), std::nullopt) << e.name;
+    }
+  }
+}
+
+TEST(VerifyFront, FailureInTheLastSegmentIsNamedAtItsAccess) {
+  // Row 63 is first addressed by the last of 4,099 accesses, which the last
+  // of 64 segments checks (accesses 4,095..4,098).  With rs[63] stuck at 0
+  // a replay from reset first goes wrong there.
+  std::vector<std::uint32_t> linear(4099);
+  for (std::size_t k = 0; k + 1 < linear.size(); ++k)
+    linear[k] = static_cast<std::uint32_t>(k % 4000);
+  linear.back() = 4095;
+  const seq::AddressTrace trace({64, 64}, linear, "late-row");
+  const auto rc = registry_entry("CntAG-flat").reference(trace, {});
+  ASSERT_TRUE(rc.has_value());
+  ASSERT_EQ(verify_reference_against_trace(*rc, trace), std::nullopt);
+
+  ReferenceCircuit stuck = *rc;
+  for (std::size_t i = 0; i < stuck.netlist.outputs().size(); ++i)
+    if (stuck.netlist.output_name(i) == "rs[63]")
+      stuck.netlist.set_output_net(i, netlist::kConst0);
+  ASSERT_EQ(scalar_first_wrong_cycle(stuck, trace), std::optional<std::size_t>(4098));
+  ReferenceCircuit shifted = stuck;
+  shifted.state_at = shifted_by_one(rc->state_at, trace.length());
+  for (const ReferenceCircuit* m : {&stuck, &shifted}) {
+    const auto err = verify_reference_against_trace(*m, trace);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->rfind("cycle 4098: rs[63] is 0", 0), 0u) << *err;
+  }
+}
+
+TEST(VerifyFront, RecipesThatMissOrRepeatAFlipFlopAreIgnored) {
+  // A recipe that leaves a flip-flop out cannot vouch for the lanes it
+  // pokes.  Here the one left out is the last column token flip-flop, so a
+  // lane poked when the token sits there would start without a token and
+  // fail.  Such circuits replay as one segment from reset, and verify.
+  const auto trace = seq::block_raster({8, 8}, 4, 4);
+  const auto rc = registry_entry("SRAG").reference(trace, {});
+  ASSERT_TRUE(rc.has_value());
+  ReferenceCircuit partial = *rc;
+  partial.state.pop_back();
+  partial.state_at = [state_at = rc->state_at](std::span<const std::size_t> accesses) {
+    std::vector<std::uint64_t> words = state_at(accesses);
+    words.pop_back();
+    return words;
+  };
+  ReferenceCircuit repeated = *rc;
+  repeated.state.back() = repeated.state.front();
+  for (const ReferenceCircuit* m : {&partial, &repeated})
+    EXPECT_EQ(verify_reference_against_trace(*m, trace), std::nullopt);
 }
 
 TEST(VerifyFront, SweptAndBufferedCandidatesStillReplayTheTrace) {

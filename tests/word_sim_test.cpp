@@ -5,7 +5,8 @@
 // count after every cycle — both with one stimulus replicated across all
 // lanes and with 64 distinct per-lane streams, while inputs are held for
 // random run lengths and changed through every input entry point.  Plus
-// levelizer structure tests and a generator-netlist replay.
+// levelizer structure tests and a generator-netlist replay.  Lanes poked
+// through set_state must evolve like scalars started from the poked state.
 //
 // PRNGs are seeded, so failures reproduce deterministically.
 #include <gtest/gtest.h>
@@ -196,6 +197,84 @@ TEST(WordSimulator, MatchesScalarWithDistinctPerLaneStimuli) {
     w.enable_toggle_counting();
     ASSERT_NO_FATAL_FAILURE(run_against_scalar(rng, c, w, lanes, 24));
   }
+}
+
+/// The flip-flop output nets of `nl`, in cell order.
+std::vector<NetId> flipflop_nets(const Netlist& nl) {
+  std::vector<NetId> ffs;
+  for (const netlist::Cell& cell : nl.cells())
+    if (netlist::is_sequential(cell.type)) ffs.push_back(cell.output);
+  return ffs;
+}
+
+TEST(WordSimulator, PokedLanesEvolveLikeScalarsFromThePokedState) {
+  // 64 scalar runs with distinct stimuli reach 64 states; set_state copies
+  // them into a fresh simulator, rotated across lanes and in two masked
+  // calls (even lanes, then odd).  From there every lane must match the
+  // scalar whose state it took, driven on with the same stimulus, on every
+  // net and toggle count after every cycle.
+  std::mt19937 rng(0x90c3du);
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    RandomCircuit c = random_circuit(rng, 30 + rng() % 50);
+    ASSERT_TRUE(c.nl.validate().empty());
+    std::vector<Simulator> lanes;
+    lanes.reserve(WordSimulator::kLanes);
+    for (std::size_t l = 0; l < WordSimulator::kLanes; ++l) lanes.emplace_back(c.nl);
+    WordSimulator warm(c.nl);
+    for (Simulator& s : lanes) s.enable_toggle_counting();
+    warm.enable_toggle_counting();
+    ASSERT_NO_FATAL_FAILURE(run_against_scalar(rng, c, warm, lanes, 1 + rng() % 16));
+
+    const std::size_t shift = 1 + rng() % (WordSimulator::kLanes - 1);
+    std::vector<Simulator> taken;
+    for (std::size_t l = 0; l < WordSimulator::kLanes; ++l)
+      taken.push_back(lanes[(l + shift) % WordSimulator::kLanes]);
+    auto word_of = [&](NetId n) {
+      std::uint64_t w = 0;
+      for (std::size_t l = 0; l < taken.size(); ++l) w |= std::uint64_t{taken[l].value(n)} << l;
+      return w;
+    };
+    const std::vector<NetId> ffs = flipflop_nets(c.nl);
+    std::vector<std::uint64_t> state;
+    for (NetId q : ffs) state.push_back(word_of(q));
+
+    WordSimulator w(c.nl);
+    w.run(3);  // lanes hold some other state before the poke
+    const std::uint64_t even = 0x5555555555555555u;
+    w.set_state(ffs, state, even);
+    w.set_state(ffs, state, ~even);
+    for (NetId in : c.inputs) w.set_input(in, word_of(in));
+    w.eval();
+    for (NetId n = 0; n < c.nl.num_nets(); ++n) ASSERT_EQ(w.word(n), word_of(n)) << "net " << n;
+
+    for (Simulator& s : taken) s.enable_toggle_counting();
+    w.enable_toggle_counting();
+    ASSERT_NO_FATAL_FAILURE(run_against_scalar(rng, c, w, taken, 24));
+  }
+}
+
+TEST(WordSimulator, SetStateRejectsNetsThatAreNotFlipFlops) {
+  Netlist nl;
+  NetlistBuilder b(nl);
+  const NetId d = b.input("d");
+  const NetId q = b.dff(d);
+  const NetId y = b.inv(q);
+  nl.add_output("y", y);
+  WordSimulator w(nl);
+  const std::uint64_t ones = WordSimulator::kAllLanes;
+  EXPECT_THROW(w.set_state(std::vector<NetId>{q, d}, std::vector<std::uint64_t>{ones, ones}),
+               std::invalid_argument);  // a primary input
+  EXPECT_THROW(w.set_state(std::vector<NetId>{q, y}, std::vector<std::uint64_t>{ones, ones}),
+               std::invalid_argument);  // a gate output
+  EXPECT_THROW(w.set_state(std::vector<NetId>{q}, std::vector<std::uint64_t>{ones, ones}),
+               std::invalid_argument);  // one word too many
+  w.eval();
+  EXPECT_EQ(w.word(q), 0u);  // a rejected call pokes nothing
+  w.set_state(std::vector<NetId>{q}, std::vector<std::uint64_t>{ones}, 0xf0);
+  w.eval();
+  EXPECT_EQ(w.word(q), 0xf0u);
+  EXPECT_EQ(w.word(y), ~std::uint64_t{0xf0});
 }
 
 TEST(WordSimulator, ReplaysGeneratorNetlistInEveryLane) {

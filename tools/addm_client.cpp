@@ -20,9 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,17 +135,13 @@ int main(int argc, char** argv) {
       have_input = true;
     } else if (arg == "--send-trace") {
       const std::string path = need_value();
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
+      TraceSource t;
+      if (!addm::tools::read_file(path, t.data)) {
         std::cerr << argv[0] << ": cannot open trace file: " << path << "\n";
         return 1;
       }
-      std::ostringstream data;
-      data << in.rdbuf();
-      TraceSource t;
       t.kind = TraceSource::Kind::kInline;
       t.name = std::filesystem::path(path).stem().string();
-      t.data = data.str();
       req.traces.push_back(std::move(t));
       have_input = true;
     } else if (auto option =
