@@ -99,17 +99,16 @@ struct BatchExplorer::Impl {
   /// persistent cache directory: traces resolving to these count as disk
   /// hits, independent of scheduling.
   std::unordered_set<std::uint64_t> disk_keys;
-  /// Deferred-flush state (BatchOptions::defer_disk_flush): successful
-  /// evaluations and warm-start hit counts awaiting flush_disk(), guarded
-  /// by `mu`.  pending_keys mirrors pending_entries so a key is never
-  /// queued twice across runs.
+  /// Successful evaluations and warm-start hit counts awaiting
+  /// flush_disk(), guarded by `mu`.  pending_keys mirrors pending_entries
+  /// so a key is never queued twice across runs.
   std::vector<EvalCacheEntry> pending_entries;
   std::unordered_set<std::uint64_t> pending_keys;
   HitCounts pending_hits;
   /// Serializes every write this process makes to the cache directory
   /// (store_batch, record_hits, budget prune): the eval-cache maintenance
   /// operations assume no concurrent writer, and the serve daemon calls
-  /// run()/flush_disk() from several threads.
+  /// flush_disk() from several threads.
   std::mutex flush_mu;
 };
 
@@ -117,31 +116,6 @@ namespace {
 
 std::uint64_t combined_key(std::uint64_t trace_fp, std::uint64_t opt_fp) {
   return trace_fp ^ (opt_fp << 1 | opt_fp >> 63);
-}
-
-// The one write path into the cache directory: stores `batch` under one
-// insertion generation, credits `hits` to their entries (prune's eviction
-// priority feeds on them), then prunes the directory back under the byte
-// budget when one is set.  The caller holds flush_mu.
-BatchExplorer::FlushStats write_cache(const BatchOptions& opt,
-                                      const std::vector<EvalCacheEntry>& batch,
-                                      const HitCounts& hits) {
-  BatchExplorer::FlushStats stats;
-  EvalCacheDir store(opt.cache_dir);
-  if (!batch.empty()) stats.stored = store.store_batch(batch);
-  if (!hits.empty()) {
-    std::vector<std::pair<EvalCacheKey, std::uint64_t>> credit;
-    credit.reserve(hits.size());
-    for (const auto& [key, count] : hits)
-      credit.push_back({{key.first, key.second}, count});
-    store.record_hits(credit);
-  }
-  if (opt.cache_budget_bytes != 0) {
-    const EvalCacheDir::MaintenanceStats pruned =
-        store.prune(UINT64_MAX, opt.cache_budget_bytes);
-    if (pruned.ok) stats.evicted = pruned.evicted;
-  }
-  return stats;
 }
 
 }  // namespace
@@ -179,7 +153,25 @@ BatchExplorer::FlushStats BatchExplorer::flush_disk() {
     impl_->pending_keys.clear();
     hits.swap(impl_->pending_hits);
   }
-  return write_cache(opt_, batch, hits);
+  // Store the batch under one insertion generation, credit the hits to
+  // their entries (prune's eviction priority feeds on them), then prune
+  // back under the byte budget when one is set.
+  FlushStats stats;
+  EvalCacheDir store(opt_.cache_dir);
+  if (!batch.empty()) stats.stored = store.store_batch(batch);
+  if (!hits.empty()) {
+    std::vector<std::pair<EvalCacheKey, std::uint64_t>> credit;
+    credit.reserve(hits.size());
+    for (const auto& [key, count] : hits)
+      credit.push_back({{key.first, key.second}, count});
+    store.record_hits(credit);
+  }
+  if (opt_.cache_budget_bytes != 0) {
+    const EvalCacheDir::MaintenanceStats pruned =
+        store.prune(UINT64_MAX, opt_.cache_budget_bytes);
+    if (pruned.ok) stats.evicted = pruned.evicted;
+  }
+  return stats;
 }
 
 BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces) {
@@ -242,10 +234,10 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   std::size_t evaluations = 0;
   std::size_t cache_hits = 0;
   std::size_t disk_hits = 0;
-  /// Owner-evaluated successful outcomes, flushed to disk after the run.
-  std::vector<EvalCacheEntry> fresh;
-  /// Disk-hit counts per cache key, credited to the persistent cache after
+  /// Owner-evaluated successful outcomes, queued for flush_disk() after
   /// the run.
+  std::vector<EvalCacheEntry> fresh;
+  /// Disk-hit counts per cache key, likewise queued.
   HitCounts disk_hit_counts;
 
   auto work = [&](std::size_t i) {
@@ -305,28 +297,18 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   ThreadPool pool(split.outer);
   pool.parallel_for(traces.size(), work);
 
-  // Flush: persist this run's newly computed successes.  Errors are never
-  // cached (a transient failure must not become permanent), and I/O errors
-  // only cost the entry.  Owners finish — and, with duplicated traces, are
-  // even *chosen* — in scheduling order, but store_batch writes the batch
-  // in cache-key order under one insertion generation, so cache directories
-  // (index.txt line order included) come out byte-identical at every thread
-  // split.
-  if (use_disk && opt_.defer_disk_flush) {
-    // Daemon mode: queue this run's successes and hit counts for the next
-    // flush_disk() instead of writing here, so a long-lived process decides
-    // when (and under which lock) the directory is touched.
+  // Queue this run's newly computed successes and hit counts for the next
+  // flush_disk(), so the caller decides when (and under which lock) the
+  // directory is touched.  Errors are never cached (a transient failure
+  // must not become permanent).  Owners finish — and, with duplicated
+  // traces, are even *chosen* — in scheduling order; flush_disk() sorts
+  // them away.
+  if (use_disk) {
     std::lock_guard<std::mutex> lk(impl_->mu);
     for (EvalCacheEntry& e : fresh)
       if (impl_->pending_keys.insert(combined_key(e.key.trace_hash, opt_fp)).second)
         impl_->pending_entries.push_back(std::move(e));
     for (const auto& [key, count] : disk_hit_counts) impl_->pending_hits[key] += count;
-  } else if (use_disk) {
-    // flush_mu: concurrent run()s must not interleave their writes.
-    std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
-    const FlushStats written = write_cache(opt_, fresh, disk_hit_counts);
-    result.disk_entries_stored = written.stored;
-    result.disk_entries_evicted = written.evicted;
   }
 
   result.evaluations = evaluations;

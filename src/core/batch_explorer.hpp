@@ -45,25 +45,21 @@ struct BatchOptions {
   /// When non-empty, the directory of a persistent evaluation cache
   /// (core/eval_cache).  Each run() probes the store for exactly the input
   /// traces' (trace, options) keys — O(inputs), not O(cache size) — and
-  /// flushes newly computed results back on completion.  Multiple
-  /// concurrent processes may share one directory.  Requires `memoize`;
-  /// ignored when memoization is disabled.
+  /// never writes it: newly computed results and warm-start hit counts
+  /// accumulate in memory (pending_flush() reports how many) until
+  /// flush_disk() persists them.  That one serialized writer is what lets
+  /// a long-lived process run explorations concurrently while honoring the
+  /// eval-cache maintenance contract ("compact/prune assume no concurrent
+  /// writer").  Multiple concurrent processes may share one directory.
+  /// Requires `memoize`; ignored when memoization is disabled.
   std::string cache_dir;
   /// When non-zero, an on-disk size budget (total payload bytes) enforced
-  /// at every flush — run()'s own, or each flush_disk() call, even one with
-  /// nothing pending — by pruning the cache directory in the deterministic
-  /// eviction order of EvalCacheDir::prune, so a bounded directory stays
-  /// bounded across runs.  Lifecycle-only: it never affects results and is
-  /// not fingerprinted.  Requires `cache_dir`.
+  /// at every flush_disk() call, even one with nothing pending, by pruning
+  /// the cache directory in the deterministic eviction order of
+  /// EvalCacheDir::prune, so a bounded directory stays bounded across
+  /// runs.  Lifecycle-only: it never affects results and is not
+  /// fingerprinted.  Requires `cache_dir`.
   std::uint64_t cache_budget_bytes = 0;
-  /// Daemon mode: when true, run() never writes the cache directory itself.
-  /// Newly computed results and warm-start hit counts accumulate in memory
-  /// (pending_flush() reports how many) until flush_disk() persists them —
-  /// one serialized writer, which is what lets a long-lived process run
-  /// explorations concurrently while honoring the eval-cache maintenance
-  /// contract ("compact/prune assume no concurrent writer").  Requires
-  /// `cache_dir`; without one the flag is inert.
-  bool defer_disk_flush = false;
 };
 
 /// Per-trace exploration outcome, in input order.  Plain value type: every
@@ -88,8 +84,6 @@ struct BatchResult {
   std::size_t cache_hits = 0;   ///< traces served from the in-memory memo table
   std::size_t disk_hits = 0;    ///< traces served from entries loaded off disk
   std::size_t disk_entries_loaded = 0;  ///< options-matching entries warm-started
-  std::size_t disk_entries_stored = 0;  ///< new entries flushed to disk this run
-  std::size_t disk_entries_evicted = 0;  ///< entries pruned by cache_budget_bytes
   double wall_seconds = 0.0;    ///< not part of any serialized report
 };
 
@@ -107,12 +101,13 @@ class BatchExplorer {
 
   /// Explores every trace with `options().explore`.  With a cache_dir
   /// configured, every run() probes the store for the input keys it does
-  /// not already hold in memory and flushes newly computed results; disk
-  /// I/O errors degrade to cache misses or unsaved entries, never failures.
+  /// not already hold in memory and queues newly computed results for
+  /// flush_disk(); disk I/O errors degrade to cache misses or unsaved
+  /// entries, never failures.
   ///
-  /// Concurrency: run() may be called from several threads at once — the
-  /// memo table is shared (two racing identical traces evaluate once), and
-  /// this process's disk writes are serialized internally.  Each concurrent
+  /// Concurrency: run() may be called from several threads at once, and
+  /// concurrently with flush_disk() — the memo table is shared (two racing
+  /// identical traces evaluate once).  Each concurrent
   /// run() builds its own worker pool against the full `threads` budget, so
   /// the caller owns not oversubscribing across simultaneous runs (the
   /// serve daemon bounds this with its request-thread count).
@@ -133,16 +128,16 @@ class BatchExplorer {
     std::size_t evicted = 0;  ///< entries pruned by cache_budget_bytes
   };
 
-  /// Persists everything accumulated under `defer_disk_flush`: stores the
-  /// pending entry batch, credits pending warm-start hits, and — when
-  /// cache_budget_bytes is set — prunes the directory back under budget.
-  /// Serialized against itself (one writer at a time) and safe to call
-  /// concurrently with run()s; a no-op without a cache_dir, and without
-  /// pending work unless a budget is set.
+  /// Persists everything run() has queued: stores the pending entry batch
+  /// in cache-key order under one insertion generation (so directories come
+  /// out byte-identical at every thread split), credits pending warm-start
+  /// hits, and — when cache_budget_bytes is set — prunes the directory back
+  /// under budget.  Serialized against itself (one writer at a time) and
+  /// safe to call concurrently with run()s; a no-op without a cache_dir,
+  /// and without pending work unless a budget is set.
   FlushStats flush_disk();
 
-  /// Entries computed but not yet persisted (only grows when
-  /// defer_disk_flush is set).
+  /// Entries computed but not yet persisted.
   std::size_t pending_flush() const;
 
   /// Number of keys in the in-memory memo table (disk-loaded included).

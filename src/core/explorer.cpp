@@ -234,6 +234,9 @@ GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
   return {std::move(name), always,
           [style, note](const seq::AddressTrace& trace,
                         const ExploreOptions& opt) -> CandidateBuild {
+            // A one-access sequence has no modulo-2-or-more counter to build.
+            if (trace.length() == 1)
+              return {std::nullopt, "sequence counter needs at least 2 accesses"};
             CntAgOptions copt;
             copt.decoder_style = style;
             copt.minimize = opt.minimize;

@@ -136,81 +136,4 @@ CompressedTrace compress_periodic(const AddressTrace& trace) {
   return sc.finish(trace.geometry(), trace.name());
 }
 
-namespace {
-
-// Verifies vals[i] == vals[0] + d1*i over one counted dimension, or
-// vals[o*inner + j] == vals[0] + d1*o + d2*j over two.  Coefficients are
-// forced by the first elements, so recovery is a pure check.
-bool affine1(const std::vector<long>& vals, long& offset, long& d) {
-  offset = vals[0];
-  d = vals.size() > 1 ? vals[1] - vals[0] : 0;
-  for (std::size_t i = 0; i < vals.size(); ++i)
-    if (vals[i] != offset + d * static_cast<long>(i)) return false;
-  return true;
-}
-
-bool affine2(const std::vector<long>& vals, std::size_t inner, long& offset,
-             long& d_outer, long& d_inner) {
-  offset = vals[0];
-  d_inner = inner > 1 ? vals[1] - vals[0] : 0;
-  d_outer = vals[inner] - vals[0];
-  const std::size_t outer = vals.size() / inner;
-  for (std::size_t o = 0; o < outer; ++o)
-    for (std::size_t j = 0; j < inner; ++j)
-      if (vals[o * inner + j] !=
-          offset + d_outer * static_cast<long>(o) + d_inner * static_cast<long>(j))
-        return false;
-  return true;
-}
-
-}  // namespace
-
-std::optional<RecoveredNest> recover_loop_nest(const CompressedTrace& ct) {
-  if (!ct.pure() || ct.period.empty() || ct.repeats == 0) return std::nullopt;
-  const std::size_t n = ct.period.size();
-  std::vector<long> rows(n), cols(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rows[i] = static_cast<long>(ct.period[i] / ct.geometry.width);
-    cols[i] = static_cast<long>(ct.period[i] % ct.geometry.width);
-  }
-
-  RecoveredNest out;
-  const bool multi_pass = ct.repeats >= 2;
-  if (multi_pass) {
-    out.nest.add("pass", 0, static_cast<long>(ct.repeats));
-    out.access.row_coeffs.push_back(0);
-    out.access.col_coeffs.push_back(0);
-  }
-
-  long r0 = 0, c0 = 0, dr = 0, dc = 0;
-  if (affine1(rows, r0, dr) && affine1(cols, c0, dc)) {
-    out.nest.add("i", 0, static_cast<long>(n));
-    out.access.row_coeffs.push_back(dr);
-    out.access.col_coeffs.push_back(dc);
-    out.access.row_offset = r0;
-    out.access.col_offset = c0;
-    return out;
-  }
-
-  // Two-level: split the period into outer x inner with both dimensions
-  // affine.  Largest inner (most raster-like) divisor wins; the order is
-  // fixed so recovery is deterministic.
-  for (std::size_t inner = n / 2; inner >= 2; --inner) {
-    if (n % inner != 0) continue;
-    long dro = 0, drj = 0, dco = 0, dcj = 0;
-    if (!affine2(rows, inner, r0, dro, drj)) continue;
-    if (!affine2(cols, inner, c0, dco, dcj)) continue;
-    out.nest.add("o", 0, static_cast<long>(n / inner));
-    out.nest.add("j", 0, static_cast<long>(inner));
-    out.access.row_coeffs.push_back(dro);
-    out.access.row_coeffs.push_back(drj);
-    out.access.col_coeffs.push_back(dco);
-    out.access.col_coeffs.push_back(dcj);
-    out.access.row_offset = r0;
-    out.access.col_offset = c0;
-    return out;
-  }
-  return std::nullopt;
-}
-
 }  // namespace addm::seq

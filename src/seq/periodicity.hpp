@@ -21,19 +21,12 @@
 //    memory) and verifies subsequent addresses against it in O(1); an
 //    aperiodic stream degrades to buffering everything, which is the
 //    information-theoretic floor for exact compression.
-//
-// When the period is an affine loop-nest enumeration, recover_loop_nest
-// reconstructs the seq::LoopNest + AffineAccess formulation (one or two
-// counted loops, plus an outer pass loop), re-deriving the declarative
-// program a raw recorded stream came from.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "seq/loopnest.hpp"
 #include "seq/trace.hpp"
 
 namespace addm::seq {
@@ -113,20 +106,5 @@ class StreamingCompressor {
 /// Batch factorization: feeds `trace` through a StreamingCompressor.  Exact
 /// for every input; O(length) time, O(length) transient memory.
 CompressedTrace compress_periodic(const AddressTrace& trace);
-
-/// A period re-expressed as counted loops + affine row/column access.
-struct RecoveredNest {
-  LoopNest nest;
-  AffineAccess access;
-};
-
-/// Attempts to express a *pure* factorization (ct.pure()) as a loop nest:
-/// one or two counted loops enumerating the period — rows and columns must
-/// both be affine in the induction variables — wrapped in an outer pass
-/// loop when repeats >= 2.  On success, nest.trace(access, ct.geometry)
-/// equals ct.expand() exactly (property-tested).  Returns nullopt for
-/// impure factorizations, empty traces, and periods with no affine
-/// 1- or 2-level decomposition.
-std::optional<RecoveredNest> recover_loop_nest(const CompressedTrace& ct);
 
 }  // namespace addm::seq

@@ -1,5 +1,6 @@
 #include "seq/trace.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace addm::seq {
@@ -9,6 +10,12 @@ AddressTrace::AddressTrace(ArrayGeometry geom, std::vector<std::uint32_t> linear
     : geom_(geom), linear_(std::move(linear)), name_(std::move(name)) {
   if (geom_.width == 0 || geom_.height == 0)
     throw std::invalid_argument("AddressTrace: degenerate geometry");
+  // Addresses are 32-bit, so every cell must have one; dividing instead of
+  // multiplying keeps the check itself from overflowing.
+  if (geom_.width > UINT32_MAX / geom_.height)
+    throw std::invalid_argument("AddressTrace: geometry " + std::to_string(geom_.width) +
+                                "x" + std::to_string(geom_.height) + " has more than " +
+                                std::to_string(UINT32_MAX) + " cells");
   for (std::uint32_t a : linear_)
     if (a >= geom_.size())
       throw std::invalid_argument("AddressTrace: address " + std::to_string(a) +

@@ -23,7 +23,8 @@ struct ArrayGeometry {
 class AddressTrace {
  public:
   AddressTrace() = default;
-  /// Throws std::invalid_argument if any address is outside the array.
+  /// Throws std::invalid_argument if a dimension is 0, the array has more
+  /// than UINT32_MAX cells, or any address is outside the array.
   AddressTrace(ArrayGeometry geom, std::vector<std::uint32_t> linear,
                std::string name = {});
 

@@ -20,7 +20,6 @@ core::BatchOptions batch_options(const ServiceOptions& s) {
   b.memoize = true;
   b.cache_dir = s.cache_dir;
   b.cache_budget_bytes = s.cache_budget_bytes;
-  b.defer_disk_flush = true;
   return b;
 }
 

@@ -11,9 +11,9 @@
 // of cache warmth and thread counts.  tests/serve_smoke.sh byte-compares
 // the two paths in CI.
 //
-// Cache lifecycle: the explorer runs in deferred-flush mode, so request
-// threads never write the cache directory — newly computed entries and
-// warm-start hit counts accumulate in memory until the flush policy
+// Cache lifecycle: BatchExplorer::run() only queues cache writes, so
+// request threads never write the cache directory — newly computed entries
+// and warm-start hit counts accumulate in memory until the flush policy
 // (`flush_entries`), an admin `flush`, or shutdown persists them through
 // the single serialized writer.  Admin maintenance (compact/prune) takes
 // the same maintenance mutex and flushes first, so the eval-cache rule

@@ -203,5 +203,31 @@ TEST(BatchExplorer, OptionsChangeMissesTheCache) {
   EXPECT_NE(options_fingerprint(a.explore), options_fingerprint(b.explore));
 }
 
+
+TEST(BatchExplorer, OneAccessTraceExploresEveryEntry) {
+  // A single access used to fail the whole trace, because the CntAG
+  // counter cannot count modulo 1; now CntAG is infeasible with a reason
+  // and the other entries evaluate (and verify) as usual.
+  const seq::AddressTrace one({2, 2}, {3}, "one");
+  for (bool verify : {false, true}) {
+    BatchOptions opt;
+    opt.threads = 1;
+    opt.explore.verify_front = verify;
+    const BatchResult r = BatchExplorer(opt).run({one});
+    ASSERT_EQ(r.entries.size(), 1u);
+    const BatchEntry& e = r.entries[0];
+    EXPECT_EQ(e.error, "");
+    ASSERT_EQ(e.points.size(), 9u);
+    EXPECT_FALSE(e.pareto.empty());
+    for (const DesignPoint& p : e.points) {
+      if (p.architecture.rfind("CntAG", 0) == 0) {
+        EXPECT_FALSE(p.feasible) << p.architecture;
+        EXPECT_EQ(p.note, "sequence counter needs at least 2 accesses");
+      }
+      EXPECT_EQ(p.note.find("verify FAILED"), std::string::npos) << p.note;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace addm::core

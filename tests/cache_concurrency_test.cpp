@@ -10,9 +10,9 @@
 // that key.  Entries here encode their key into their content, so any
 // cross-key mixup or torn read fails loudly.
 //
-// Also covers the BatchExplorer daemon mode those writes come from:
-// defer_disk_flush accumulates pending entries in memory, flush_disk is
-// the single serialized writer, and concurrent run()+flush_disk() is safe.
+// Also covers the BatchExplorer write path those writes come from: run()
+// accumulates pending entries in memory, flush_disk is the single
+// serialized writer, and concurrent run()+flush_disk() is safe.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -200,7 +200,6 @@ TEST(CacheConcurrency, DeferredFlushAccumulatesThenPersistsOnce) {
 
   BatchOptions opt;
   opt.cache_dir = dir;
-  opt.defer_disk_flush = true;
   opt.threads = 1;
   BatchExplorer explorer(opt);
 
@@ -211,7 +210,6 @@ TEST(CacheConcurrency, DeferredFlushAccumulatesThenPersistsOnce) {
   const BatchResult first = explorer.run(traces);
   const std::size_t unique = first.evaluations;
   ASSERT_GT(unique, 0u);
-  EXPECT_EQ(first.disk_entries_stored, 0u) << "deferred mode wrote the disk";
   EXPECT_EQ(explorer.pending_flush(), unique);
   EXPECT_TRUE(!std::filesystem::exists(dir) ||
               std::filesystem::is_empty(dir));
@@ -229,7 +227,7 @@ TEST(CacheConcurrency, DeferredFlushAccumulatesThenPersistsOnce) {
   EXPECT_EQ(explorer.pending_flush(), 0u);
   EXPECT_EQ(explorer.flush_disk().stored, 0u);
 
-  // A fresh deferred explorer warm-starts from disk and queues only the
+  // A fresh explorer warm-starts from disk and queues only the
   // hit credits, which flush as `hit` records, not duplicate entries.
   BatchExplorer warm(opt);
   const BatchResult third = warm.run(traces);
@@ -247,7 +245,6 @@ TEST(CacheConcurrency, ConcurrentRunsAndFlushesAreSafe) {
 
   BatchOptions opt;
   opt.cache_dir = dir;
-  opt.defer_disk_flush = true;
   opt.threads = 1;
   BatchExplorer explorer(opt);
 

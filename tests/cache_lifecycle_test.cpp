@@ -291,7 +291,9 @@ TEST(CacheLifecycle, BudgetedFlushMatchesOfflinePrune) {
     BatchOptions opt;
     opt.threads = 2;
     opt.cache_dir = offline;
-    BatchExplorer(opt).run(traces);
+    BatchExplorer explorer(opt);
+    explorer.run(traces);
+    explorer.flush_disk();
   }
   const auto unpruned_entries = EvalCacheDir(offline).stats().entries;
   // Budget = half the unbudgeted payload: guarantees real eviction while
@@ -301,15 +303,15 @@ TEST(CacheLifecycle, BudgetedFlushMatchesOfflinePrune) {
   ASSERT_TRUE(EvalCacheDir(offline).prune(UINT64_MAX, kBudget).ok);
 
   const std::string online = fresh_dir("budget_online");
-  BatchResult cold;
   {
     BatchOptions opt;
     opt.threads = 2;
     opt.cache_dir = online;
     opt.cache_budget_bytes = kBudget;
-    cold = BatchExplorer(opt).run(traces);
+    BatchExplorer explorer(opt);
+    explorer.run(traces);
+    EXPECT_GT(explorer.flush_disk().evicted, 0u);
   }
-  EXPECT_GT(cold.disk_entries_evicted, 0u);
   EXPECT_LT(EvalCacheDir(online).stats().entries, unpruned_entries);
   EXPECT_LE(EvalCacheDir(online).stats().payload_bytes, kBudget);
   EXPECT_EQ(dir_bytes(online), dir_bytes(offline));
@@ -325,10 +327,14 @@ TEST(CacheLifecycle, PrunedWarmStartReportMatchesColdRun) {
   opt.threads = 2;
   opt.cache_dir = dir;
 
-  const BatchResult cold = BatchExplorer(opt).run(traces);
+  BatchExplorer cold_explorer(opt);
+  const BatchResult cold = cold_explorer.run(traces);
+  cold_explorer.flush_disk();
   ASSERT_TRUE(EvalCacheDir(dir).prune(3, UINT64_MAX).ok);
 
-  const BatchResult warm = BatchExplorer(opt).run(traces);
+  BatchExplorer warm_explorer(opt);
+  const BatchResult warm = warm_explorer.run(traces);
+  warm_explorer.flush_disk();
   EXPECT_EQ(warm.disk_hits + warm.evaluations, traces.size());
   EXPECT_GT(warm.evaluations, 0u);  // pruned keys really are misses
   EXPECT_EQ(batch_report_csv(warm), batch_report_csv(cold));

@@ -29,6 +29,16 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
+// One addm_explore-style invocation: explore, then persist what run()
+// queued.
+BatchResult run_and_flush(const BatchOptions& opt,
+                          const std::vector<seq::AddressTrace>& traces) {
+  BatchExplorer explorer(opt);
+  BatchResult result = explorer.run(traces);
+  explorer.flush_disk();
+  return result;
+}
+
 EvalCacheEntry sample_entry(std::uint64_t trace_hash = 0x1111,
                             std::uint64_t options_hash = 0x2222) {
   EvalCacheEntry e;
@@ -231,7 +241,7 @@ TEST(EvalCacheDirTest, VanishedOrNonFilePayloadDegradesToMiss) {
   BatchOptions opt;
   opt.threads = 2;
   opt.cache_dir = batch_dir;
-  const BatchResult cold = BatchExplorer(opt).run(traces);
+  const BatchResult cold = run_and_flush(opt, traces);
   bool replaced_one = false;
   for (const auto& f : fs::directory_iterator(batch_dir)) {
     if (f.path().extension() != ".entry" || replaced_one) continue;
@@ -346,15 +356,15 @@ TEST(EvalCacheBatch, SecondExplorerIsServedEntirelyFromDisk) {
   const BatchResult first = cold.run(traces);
   EXPECT_GT(first.evaluations, 0u);
   EXPECT_EQ(first.disk_hits, 0u);
-  EXPECT_EQ(first.disk_entries_stored, first.evaluations);
+  EXPECT_EQ(cold.flush_disk().stored, first.evaluations);
 
   BatchExplorer warm(opt);
   const BatchResult second = warm.run(traces);
   EXPECT_EQ(second.evaluations, 0u);
   EXPECT_EQ(second.cache_hits, 0u);
   EXPECT_EQ(second.disk_hits, traces.size());
-  EXPECT_EQ(second.disk_entries_loaded, first.disk_entries_stored);
-  EXPECT_EQ(second.disk_entries_stored, 0u);
+  EXPECT_EQ(second.disk_entries_loaded, first.evaluations);
+  EXPECT_EQ(warm.flush_disk().stored, 0u);
 
   // The disk round trip must not perturb a single byte of the reports.
   EXPECT_EQ(batch_report_csv(first), batch_report_csv(second));
@@ -367,7 +377,7 @@ TEST(EvalCacheBatch, DifferentOptionsMissTheDiskCache) {
   BatchOptions a;
   a.threads = 2;
   a.cache_dir = dir;
-  BatchExplorer(a).run(traces);
+  run_and_flush(a, traces);
 
   BatchOptions b = a;
   b.explore.include_fsm = false;
@@ -383,7 +393,7 @@ TEST(EvalCacheBatch, CorruptedCacheDegradesToReevaluation) {
   BatchOptions opt;
   opt.threads = 2;
   opt.cache_dir = dir;
-  const BatchResult clean = BatchExplorer(opt).run(traces);
+  const BatchResult clean = run_and_flush(opt, traces);
 
   // Vandalize every entry file; keep the index.
   for (const auto& f : fs::directory_iterator(dir)) {
@@ -391,8 +401,7 @@ TEST(EvalCacheBatch, CorruptedCacheDegradesToReevaluation) {
     std::ofstream(f.path(), std::ios::binary | std::ios::trunc) << "junk";
   }
 
-  BatchExplorer recover(opt);
-  const BatchResult redone = recover.run(traces);
+  const BatchResult redone = run_and_flush(opt, traces);
   EXPECT_EQ(redone.disk_hits, 0u);
   EXPECT_EQ(redone.evaluations, clean.evaluations);
   EXPECT_EQ(batch_report_csv(redone), batch_report_csv(clean));
@@ -414,8 +423,9 @@ TEST(EvalCacheBatch, FilteredRunNeverPoisonsAFullRunsCache) {
   filtered.threads = 2;
   filtered.cache_dir = dir;
   filtered.explore.archs = {"SRAG", "CntAG-flat"};
-  const BatchResult f = BatchExplorer(filtered).run(traces);
-  EXPECT_GT(f.disk_entries_stored, 0u);
+  BatchExplorer filtered_explorer(filtered);
+  const BatchResult f = filtered_explorer.run(traces);
+  EXPECT_GT(filtered_explorer.flush_disk().stored, 0u);
 
   BatchOptions full;
   full.threads = 2;
@@ -427,6 +437,7 @@ TEST(EvalCacheBatch, FilteredRunNeverPoisonsAFullRunsCache) {
   EXPECT_GT(cold.evaluations, 0u);
   const std::size_t full_points = generator_names().size();
   for (const auto& e : cold.entries) EXPECT_EQ(e.points.size(), full_points);
+  full_explorer.flush_disk();
 
   // Both option sets now coexist in one directory; each rerun is warm.
   const BatchResult warm_full = BatchExplorer(full).run(traces);
@@ -455,7 +466,7 @@ TEST(EvalCacheBatch, CacheDirectoryBytesIndependentOfThreadSplit) {
     opt.threads = threads;
     opt.explore.arch_threads = arch_threads;
     opt.cache_dir = dir;
-    BatchExplorer(opt).run(traces);
+    run_and_flush(opt, traces);
     std::map<std::string, std::string> files;
     for (const auto& f : fs::directory_iterator(dir)) {
       std::ifstream in(f.path(), std::ios::binary);

@@ -1,6 +1,6 @@
 // Tests for exact periodicity compression: factorization shapes, streaming
-// memory behavior (lock/unlock), batch==streaming agreement, and affine
-// loop-nest recovery.
+// memory behavior (lock/unlock), batch==streaming agreement, and an
+// exhaustive brute-force oracle over short sequences.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -160,79 +160,60 @@ TEST(StreamingCompressor, AgreesWithBatchOnArbitraryInput) {
   EXPECT_EQ(a.tail, b.tail);
 }
 
-TEST(RecoverLoopNest, RasterPeriodBecomesTwoLoops) {
-  // An 8x4 raster pass repeated 5 times: pass x row x col with the affine
-  // access row=o, col=j.
-  std::vector<std::uint32_t> period;
-  for (std::uint32_t r = 0; r < 4; ++r)
-    for (std::uint32_t c = 0; c < 8; ++c) period.push_back(r * 8 + c);
-  CompressedTrace ct;
-  ct.geometry = {8, 4};
-  ct.period = period;
-  ct.repeats = 5;
-  const auto rec = recover_loop_nest(ct);
-  ASSERT_TRUE(rec.has_value());
-  ASSERT_EQ(rec->nest.loops().size(), 3u);
-  EXPECT_EQ(rec->nest.loops()[0].name, "pass");
-  EXPECT_EQ(rec->nest.iterations(), ct.length());
-  EXPECT_EQ(rec->nest.trace(rec->access, ct.geometry).linear(),
-            ct.expand().linear());
+// Smallest p >= 1 with s[i] == s[i + p] over s[from..).
+std::size_t brute_period(const std::vector<std::uint32_t>& s, std::size_t from) {
+  const std::size_t m = s.size() - from;
+  for (std::size_t p = 1; p < m; ++p) {
+    bool ok = true;
+    for (std::size_t i = from; ok && i + p < s.size(); ++i) ok = s[i] == s[i + p];
+    if (ok) return p;
+  }
+  return m;
 }
 
-TEST(RecoverLoopNest, StridedPeriodBecomesOneLoop) {
-  // Stride-5 sweep over a 5x5 array: linear in one induction variable.
-  std::vector<std::uint32_t> period;
-  for (std::uint32_t i = 0; i < 5; ++i) period.push_back(i * 5);
-  CompressedTrace ct;
-  ct.geometry = {5, 5};
-  ct.period = period;
-  ct.repeats = 3;
-  const auto rec = recover_loop_nest(ct);
-  ASSERT_TRUE(rec.has_value());
-  ASSERT_EQ(rec->nest.loops().size(), 2u);  // pass + i
-  EXPECT_EQ(rec->nest.trace(rec->access, ct.geometry).linear(),
-            ct.expand().linear());
-}
-
-TEST(RecoverLoopNest, SinglePassOmitsPassLoop) {
-  CompressedTrace ct;
-  ct.geometry = {8, 8};
-  ct.period = {0, 1, 2, 3};
-  ct.repeats = 1;
-  const auto rec = recover_loop_nest(ct);
-  ASSERT_TRUE(rec.has_value());
-  ASSERT_EQ(rec->nest.loops().size(), 1u);
-  EXPECT_EQ(rec->nest.trace(rec->access, ct.geometry).linear(),
-            ct.expand().linear());
-}
-
-TEST(RecoverLoopNest, RejectsNonAffineAndImpure) {
-  CompressedTrace zig;
-  zig.geometry = {8, 8};
-  zig.period = zigzag({8, 8}).linear();  // not affine in any 1/2 loops
-  zig.repeats = 2;
-  EXPECT_FALSE(recover_loop_nest(zig).has_value());
-
-  CompressedTrace impure;
-  impure.geometry = {8, 8};
-  impure.prefix = {63};
-  impure.period = {0, 1};
-  impure.repeats = 4;
-  EXPECT_FALSE(recover_loop_nest(impure).has_value());
-}
-
-TEST(RecoverLoopNest, RecoversGeneratedLoopNestPrograms) {
-  // Feed the trace of a known affine program through compression + recovery
-  // and require the recovered nest to reproduce it exactly.
-  const auto prog = raster_program({16, 8});
-  const auto one_pass = prog.nest.trace(prog.access, prog.geometry);
-  const auto t = make(tile(one_pass.linear(), 6), prog.geometry);
-  const CompressedTrace ct = compress_periodic(t);
-  ASSERT_TRUE(ct.pure());
-  EXPECT_EQ(ct.repeats, 6u);
-  const auto rec = recover_loop_nest(ct);
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->nest.trace(rec->access, ct.geometry).linear(), t.linear());
+TEST(Periodicity, ExhaustiveOracleOverShortSequences) {
+  // Every sequence of length 0..10 over 3 symbols (88,573 inputs).  The
+  // factorization must store the fewest elements of any prefix split q
+  // (q + smallest period of the rest), take the shortest prefix on ties,
+  // fall back to the canonical form when nothing saves, and expand back.
+  const ArrayGeometry g{3, 1};
+  std::size_t inputs = 0;
+  for (std::size_t n = 0; n <= 10; ++n) {
+    std::size_t count = 1;
+    for (std::size_t i = 0; i < n; ++i) count *= 3;
+    for (std::size_t code = 0; code < count; ++code) {
+      std::vector<std::uint32_t> s(n);
+      for (std::size_t i = 0, c = code; i < n; ++i, c /= 3)
+        s[i] = static_cast<std::uint32_t>(c % 3);
+      ++inputs;
+      const CompressedTrace ct = compress_periodic(AddressTrace(g, s));
+      ASSERT_EQ(ct.expand().linear(), s);
+      if (n == 0) {
+        EXPECT_EQ(ct.repeats, 0u);
+        EXPECT_TRUE(ct.period.empty());
+        continue;
+      }
+      std::size_t best_q = 0, best = n + 1;
+      for (std::size_t q = 0; q < n; ++q) {
+        const std::size_t cost = q + brute_period(s, q);
+        if (cost < best) {
+          best = cost;
+          best_q = q;
+        }
+      }
+      ASSERT_EQ(ct.stored(), best) << "code " << code << " length " << n;
+      if (best == n) {
+        // Nothing saves: canonical uncompressed form.
+        ASSERT_TRUE(ct.prefix.empty()) << "code " << code << " length " << n;
+        ASSERT_EQ(ct.period, s);
+        ASSERT_EQ(ct.repeats, 1u);
+        ASSERT_EQ(ct.tail, 0u);
+      } else {
+        ASSERT_EQ(ct.prefix.size(), best_q) << "code " << code << " length " << n;
+      }
+    }
+  }
+  EXPECT_EQ(inputs, 88573u);
 }
 
 }  // namespace

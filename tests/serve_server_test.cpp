@@ -279,6 +279,31 @@ TEST(ServeServer, BadRequestsGetFramedErrorsAndConnectionSurvives) {
   EXPECT_TRUE(result.ok);
 }
 
+TEST(ServeServer, InlineTraceBeyond32BitGeometryIsAnIoError) {
+  // A 2^32-wide row used to divide by a width truncated to 0 inside the
+  // daemon (SIGFPE), so the next connect was refused.
+  TestServer ts;
+  ServeClient client = ts.connect();
+  ExploreRequest req = suite_request(0);
+  TraceSource t;
+  t.kind = TraceSource::Kind::kInline;
+  t.name = "wide";
+  t.data = "geometry 4294967296 1\n5\n";
+  req.traces.push_back(t);
+  ServeClient::Result result;
+  std::string error;
+  ASSERT_TRUE(client.explore(req, result, error)) << error;
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error.code, "io");
+  EXPECT_NE(result.error.message.find("more than 4294967295 cells"), std::string::npos)
+      << result.error.message;
+
+  std::string banner;
+  ASSERT_TRUE(client.ping(banner, error)) << error;
+  ServeClient next = ts.connect();
+  ASSERT_TRUE(next.ping(banner, error)) << error;
+}
+
 TEST(ServeServer, GarbageAndDisconnectsNeverKillTheDaemon) {
   TestServer ts;
   {

@@ -1,4 +1,4 @@
-# End-to-end streaming-pipeline smoke, run as a ctest entry and by the CI
+# End-to-end trace-ingestion smoke, run as a ctest entry and by the CI
 # smoke job:
 #
 #   1. addm_trace_import on the checked-in lackey log must reproduce the
@@ -7,9 +7,6 @@
 #      byte-for-byte no-op on the report
 #   3. a generated multi-pass periodic trace must explore with every note
 #      annotated "[periodic 300x8]"
-#
-# That the streaming reader and the materializing parser agree is
-# stream_property_test's job.
 #
 # Usage: cmake -DADDM_EXPLORE=... -DADDM_TRACE_IMPORT=... -DGOLDEN_DIR=...
 #              -DWORK_DIR=... -P this

@@ -1,9 +1,13 @@
-// Tests for address-trace text serialization: round trips, format features
-// (comments, multi-line, name), and line-numbered error diagnostics.
+// Tests for address-trace text serialization (round trips, format features
+// such as comments, multi-line and name, and line-numbered error
+// diagnostics) and for the valgrind/lackey log importer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
@@ -134,6 +138,51 @@ TEST(TraceIo, RejectsEmptyTrace) {
   EXPECT_THROW(read_trace_string("geometry 2 2\n"), std::invalid_argument);
 }
 
+TEST(TraceIo, ErrorMessagesArePinned) {
+  const struct {
+    const char* text;
+    const char* what;
+  } cases[] = {
+      {"0 1 2\n", "trace parse error at line 1: addresses before the geometry directive"},
+      {"geometry 2 2\ngeometry 2 2\n0\n", "trace parse error at line 2: duplicate geometry"},
+      {"geometry 0 4\n0\n",
+       "trace parse error at line 1: expected 'geometry <width> <height>' with positive sizes"},
+      {"geometry 4\n0\n",
+       "trace parse error at line 1: expected 'geometry <width> <height>' with positive sizes"},
+      {"geometry 4 4 9\n0\n", "trace parse error at line 1: trailing token '9'"},
+      {"geometry 2 2\n0 4\n", "trace parse error at line 2: address 4 outside the 2x2 array"},
+      {"geometry 2 2\n0 -1\n", "trace parse error at line 2: not an address: '-1'"},
+      {"geometry 2 2\n0 1e5\n", "trace parse error at line 2: not an address: '1e5'"},
+      {"geometry 2 2\nname\n0\n", "trace parse error at line 2: expected 'name <identifier>'"},
+      {"geometry 2 2\nname a b\n0\n", "trace parse error at line 2: trailing token 'b'"},
+      {"geometry 2 2\nname a\nname b\n0\n", "trace parse error at line 3: duplicate name"},
+      {"geometry 2 2\n", "trace parse error: no addresses"},
+      {"# nothing\n", "trace parse error: missing geometry"},
+  };
+  for (const auto& c : cases) {
+    try {
+      read_trace_string(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c.what) << c.text;
+    }
+  }
+}
+
+TEST(TraceIo, RejectsGeometriesBeyond32BitAddresses) {
+  // A 2^32-wide row used to divide by a width truncated to 0 (SIGFPE), and
+  // address 2^32 of a 2^32+1-cell array used to be narrowed to address 0.
+  EXPECT_THROW(read_trace_string("geometry 4294967296 1\n5\n"), std::invalid_argument);
+  EXPECT_THROW(read_trace_string("geometry 4294967297 1\n4294967296\n"),
+               std::invalid_argument);
+  // The check is on the cell count, whichever dimension is large, and its
+  // product cannot overflow; the largest 32-bit array is accepted.
+  EXPECT_THROW(AddressTrace({65536, 65536}, {0}), std::invalid_argument);
+  EXPECT_THROW(AddressTrace({std::size_t{1} << 33, std::size_t{1} << 31}, {0}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(AddressTrace({65535, 65537}, {4294967294u}));
+}
+
 TEST(TraceIo, WriterWrapsLines) {
   const auto t = incremental({8, 8});
   const auto text = write_trace_string(t);
@@ -166,6 +215,121 @@ TEST(TraceIoFile, MissingFileThrowsWithPath) {
 TEST(TraceIoFile, UnwritablePathThrows) {
   const auto t = incremental({4, 4});
   EXPECT_THROW(write_trace_file("/nonexistent/dir/out.trace", t), std::runtime_error);
+}
+
+
+LackeyImportOptions geom_opt(std::size_t w, std::size_t h) {
+  LackeyImportOptions opt;
+  opt.geometry = {w, h};
+  return opt;
+}
+
+AddressTrace import_text(const std::string& text, const LackeyImportOptions& opt) {
+  std::istringstream in(text);
+  return import_lackey(in, opt);
+}
+
+TEST(LackeyImport, ParsesLoadsStoresAndSkipsChatter) {
+  const std::string log =
+      "==1234== Lackey, an example Valgrind tool\n"
+      "I  0x40001000,4\n"
+      " L 40100000,4\n"
+      " L 0x40100004,4\n"
+      " S 40100008,8\n"
+      "\n"
+      " M 4010000c,4\n"
+      "==1234== done\n";
+  const auto t = import_text(log, geom_opt(4, 4));
+  // Instruction fetch excluded by default; base = first data address.
+  EXPECT_EQ(t.linear(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(t.geometry(), (ArrayGeometry{4, 4}));
+}
+
+TEST(LackeyImport, KindsFilterSelectsMarkers) {
+  const std::string log =
+      "I 1000,4\n L 2000,4\n S 2004,4\n M 2008,4\n";
+  LackeyImportOptions opt = geom_opt(8, 8);
+  opt.kinds = "S";
+  EXPECT_EQ(import_text(log, opt).linear(), (std::vector<std::uint32_t>{0}));
+  opt.kinds = "LS";
+  EXPECT_EQ(import_text(log, opt).linear(), (std::vector<std::uint32_t>{0, 1}));
+  opt.kinds = "I";
+  EXPECT_EQ(import_text(log, opt).linear(), (std::vector<std::uint32_t>{0}));
+}
+
+TEST(LackeyImport, ExplicitBaseAndWordSize) {
+  LackeyImportOptions opt = geom_opt(4, 4);
+  opt.auto_base = false;
+  opt.base = 0x2000;
+  opt.word_bytes = 8;
+  // 0x2000 -> word 0, 0x2008 -> word 1, 0x200c folds onto word 1.
+  const auto t = import_text(" L 2000,4\n L 2008,4\n L 200c,4\n", opt);
+  EXPECT_EQ(t.linear(), (std::vector<std::uint32_t>{0, 1, 1}));
+}
+
+TEST(LackeyImport, NameAndTraceIoRoundTrip) {
+  LackeyImportOptions opt = geom_opt(4, 4);
+  opt.name = "imported";
+  const auto t = import_text(" L 1000,4\n L 1004,4\n", opt);
+  EXPECT_EQ(t.name(), "imported");
+  const auto back = read_trace_string(write_trace_string(t));
+  EXPECT_EQ(back.linear(), t.linear());
+  EXPECT_EQ(back.name(), t.name());
+}
+
+TEST(LackeyImport, ErrorsCarryLineNumbers) {
+  const struct {
+    const char* log;
+    const char* what;
+  } cases[] = {
+      {" L zz,4\n", "expected hex address"},
+      {" L 1000 4\n", "expected ',<size>'"},
+      {" L 1000,\n", "expected ',<size>'"},
+      {" L 1000,4 junk\n", "trailing token"},
+      {" X 1000,4\n", "unrecognized line"},
+  };
+  for (const auto& c : cases) {
+    try {
+      import_text(std::string("I 500,4\n") + c.log, geom_opt(8, 8));
+      FAIL() << c.log;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(LackeyImport, RejectsOutOfArrayAndBelowBase) {
+  try {
+    import_text(" L 1000,4\n L 9000,4\n", geom_opt(2, 2));
+    FAIL() << "expected out-of-array failure";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("outside the 2x2 array"), std::string::npos)
+        << e.what();
+  }
+  try {
+    import_text(" L 1000,4\n L 0800,4\n", geom_opt(8, 8));
+    FAIL() << "expected below-base failure";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("below the base"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LackeyImport, RejectsBadOptionsAndEmptyResult) {
+  EXPECT_THROW(import_text(" L 0,4\n", geom_opt(0, 4)), std::invalid_argument);
+  LackeyImportOptions bad_word = geom_opt(4, 4);
+  bad_word.word_bytes = 0;
+  EXPECT_THROW(import_text(" L 0,4\n", bad_word), std::invalid_argument);
+  LackeyImportOptions bad_kinds = geom_opt(4, 4);
+  bad_kinds.kinds = "LX";
+  EXPECT_THROW(import_text(" L 0,4\n", bad_kinds), std::invalid_argument);
+  // A log with only instruction fetches has no matching accesses under the
+  // default LSM filter.
+  EXPECT_THROW(import_text("I 1000,4\n", geom_opt(4, 4)), std::invalid_argument);
+  // The geometry limit of every AddressTrace applies to imports too.
+  EXPECT_THROW(import_text(" L 0,4\n", geom_opt(std::size_t{1} << 32, 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

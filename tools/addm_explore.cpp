@@ -219,9 +219,11 @@ int main(int argc, char** argv) {
   }
 
   addm::core::BatchResult result;
+  BatchExplorer::FlushStats flushed;
   try {
     BatchExplorer explorer(opt);
     result = explorer.run(traces);
+    flushed = explorer.flush_disk();
   } catch (const std::exception& e) {
     std::cerr << argv[0] << ": exploration failed: " << e.what() << "\n";
     return 1;
@@ -245,12 +247,11 @@ int main(int argc, char** argv) {
                                    std::max(1u, std::thread::hardware_concurrency())));
     if (!opt.cache_dir.empty()) {
       std::fprintf(stderr, "cache %s: %zu entries loaded, %zu stored\n",
-                   opt.cache_dir.c_str(), result.disk_entries_loaded,
-                   result.disk_entries_stored);
+                   opt.cache_dir.c_str(), result.disk_entries_loaded, flushed.stored);
       if (opt.cache_budget_bytes != 0)
         std::fprintf(stderr, "cache budget %llu bytes: %zu entries evicted\n",
                      static_cast<unsigned long long>(opt.cache_budget_bytes),
-                     result.disk_entries_evicted);
+                     flushed.evicted);
     }
   }
   return errors == 0 ? 0 : 3;

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "cli_util.hpp"
-#include "seq/stream_io.hpp"
 #include "seq/trace_io.hpp"
 
 namespace {
