@@ -1,14 +1,16 @@
 #include "core/batch_explorer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -25,18 +27,146 @@ namespace {
 /// in key order, so hit records are written deterministically.
 using HitCounts = std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>;
 
-/// What one exploration produces. Cache entries and racing waiters share one
-/// immutable Outcome (recompute avoidance); each BatchEntry then takes its
-/// own copy of the vectors, keeping the public result type plain-value.
-struct Outcome {
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_fixed6(std::string& out, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6f", v);
+  out += buf;
+}
+
+/// Appends `s` as one CSV field, quoted when it holds a separator.
+void append_csv(std::string& out, std::string_view s) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out += s;
+    return;
+  }
+  out += '"';
+  for (char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+}
+
+/// Appends `s` as a JSON string literal.
+void append_json(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+/// What each report writes before each of a feasible point's seven metrics.
+using MetricSeparators = std::array<std::string_view, 7>;
+constexpr MetricSeparators kCsvMetricSeparators = {"", ",", ",", ",", ",", ",", ","};
+constexpr MetricSeparators kJsonMetricSeparators = {
+    ", \"area_units\": ", ", \"delay_ns\": ", ", \"clk_to_out_ns\": ",
+    ", \"reg_to_reg_ns\": ", ", \"cells\": ", ", \"flipflops\": ",
+    ", \"buffers_added\": "};
+
+void append_metrics(std::string& out, const GeneratorMetrics& m, const MetricSeparators& sep) {
+  out += sep[0];
+  append_fixed6(out, m.area_units);
+  out += sep[1];
+  append_fixed6(out, m.delay_ns);
+  out += sep[2];
+  append_fixed6(out, m.clk_to_out_ns);
+  out += sep[3];
+  append_fixed6(out, m.reg_to_reg_ns);
+  out += sep[4];
+  append_uint(out, m.cells);
+  out += sep[5];
+  append_uint(out, m.flipflops);
+  out += sep[6];
+  append_uint(out, m.buffers_added);
+}
+
+/// One outcome's CSV rows, each without the entry prefix it follows in a
+/// report (it starts at the comma after the trace hash).
+struct CsvRows {
+  std::string text;               ///< every row, concatenated
+  std::vector<std::size_t> ends;  ///< end offset of each row in `text`
+};
+
+CsvRows render_csv_rows(const std::vector<DesignPoint>& points,
+                        const std::vector<std::size_t>& pareto, const std::string& error) {
+  CsvRows rows;
+  std::string& t = rows.text;
+  if (!error.empty()) {
+    t += ",,error,,,,,,,,,";
+    append_csv(t, error);
+    t += '\n';
+    rows.ends.push_back(t.size());
+    return rows;
+  }
+  rows.ends.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const DesignPoint& p = points[i];
+    const bool on_front = std::find(pareto.begin(), pareto.end(), i) != pareto.end();
+    t += ',';
+    append_csv(t, p.architecture);
+    t += p.feasible ? ",yes," : ",no,";
+    t += on_front ? "yes," : "no,";
+    if (p.feasible) {
+      append_metrics(t, p.metrics, kCsvMetricSeparators);
+    } else {
+      t += ",,,,,,";
+    }
+    t += ',';
+    append_csv(t, p.note);
+    t += '\n';
+    rows.ends.push_back(t.size());
+  }
+  return rows;
+}
+
+}  // namespace
+
+/// The CSV rows are rendered in the thread of the first report that needs
+/// them, never at evaluation time, so an outcome no CSV report asks for
+/// keeps no bytes for them.
+struct BatchOutcome {
   std::vector<DesignPoint> points;
   std::vector<std::size_t> pareto;
   std::string error;
+
+  // Cached rows drop their growth slack: they live as long as the outcome.
+  const CsvRows& csv_rows() const {
+    std::call_once(csv_once_, [&] {
+      csv_ = render_csv_rows(points, pareto, error);
+      csv_.text.shrink_to_fit();
+    });
+    return csv_;
+  }
+
+ private:
+  mutable std::once_flag csv_once_;
+  mutable CsvRows csv_;
 };
 
-std::shared_ptr<const Outcome> evaluate_trace(const seq::AddressTrace& trace,
-                                              const ExploreOptions& opt) {
-  auto out = std::make_shared<Outcome>();
+namespace {
+
+std::shared_ptr<const BatchOutcome> evaluate_trace(const seq::AddressTrace& trace,
+                                                   const ExploreOptions& opt) {
+  auto out = std::make_shared<BatchOutcome>();
   try {
     out->points = explore_generators(trace, opt);
     out->pareto = pareto_front(out->points);
@@ -48,43 +178,15 @@ std::shared_ptr<const Outcome> evaluate_trace(const seq::AddressTrace& trace,
   return out;
 }
 
-std::string fixed6(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
-std::string csv_quote(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string q = "\"";
-  for (char c : s) {
-    if (c == '"') q += '"';
-    q += c;
-  }
-  q += '"';
-  return q;
-}
-
-std::string json_quote(const std::string& s) {
-  std::string q = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': q += "\\\""; break;
-      case '\\': q += "\\\\"; break;
-      case '\n': q += "\\n"; break;
-      case '\t': q += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          q += buf;
-        } else {
-          q += c;
-        }
-    }
-  }
-  q += '"';
-  return q;
+/// An entry's CSV rows: its outcome's cached rows while its fields still
+/// hold what the outcome holds, else rendered from the fields into `owned`
+/// (an entry built by hand, or one whose fields were changed after run()).
+const CsvRows& csv_rows_of(const BatchEntry& e, CsvRows& owned) {
+  if (e.outcome && e.error == e.outcome->error && e.pareto == e.outcome->pareto &&
+      e.points == e.outcome->points)
+    return e.outcome->csv_rows();
+  owned = render_csv_rows(e.points, e.pareto, e.error);
+  return owned;
 }
 
 }  // namespace
@@ -94,7 +196,7 @@ struct BatchExplorer::Impl {
   /// Keyed by (trace fingerprint ^ rotated options fingerprint). The mapped
   /// shared_future lets a second worker that races on the same trace block
   /// on the first evaluation instead of recomputing it.
-  std::unordered_map<std::uint64_t, std::shared_future<std::shared_ptr<const Outcome>>> cache;
+  std::unordered_map<std::uint64_t, std::shared_future<std::shared_ptr<const BatchOutcome>>> cache;
   /// Keys (same combined form) whose outcomes were warm-started from the
   /// persistent cache directory: traces resolving to these count as disk
   /// hits, independent of scheduling.
@@ -193,12 +295,16 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   // O(inputs), not O(cache size)) and resolve hits into the memo table
   // before any worker runs.  Probing every run() also picks up entries
   // stored by concurrent processes since the last one.  Disk damage shows
-  // up as failed probes, never as a failure.
+  // up as failed probes, never as a failure.  The workers reuse the
+  // probe's fingerprints; without a probe they hash in parallel.
+  std::vector<std::uint64_t> probed_fps;
   if (use_disk) {
     EvalCacheDir store(opt_.cache_dir);
     std::unordered_set<std::uint64_t> probed;
+    probed_fps.reserve(traces.size());
     for (const seq::AddressTrace& trace : traces) {
       const std::uint64_t trace_fp = trace_fingerprint(trace);
+      probed_fps.push_back(trace_fp);
       const std::uint64_t key = combined_key(trace_fp, opt_fp);
       if (!probed.insert(key).second) continue;
       {
@@ -207,10 +313,10 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
       }
       EvalCacheEntry e;
       if (!store.load_entry({trace_fp, opt_fp}, e)) continue;
-      auto outcome = std::make_shared<Outcome>();
+      auto outcome = std::make_shared<BatchOutcome>();
       outcome->points = std::move(e.points);
       outcome->pareto = std::move(e.pareto);
-      std::promise<std::shared_ptr<const Outcome>> ready;
+      std::promise<std::shared_ptr<const BatchOutcome>> ready;
       ready.set_value(std::move(outcome));
       std::lock_guard<std::mutex> lk(impl_->mu);
       if (impl_->cache.try_emplace(key, ready.get_future().share()).second) {
@@ -246,17 +352,17 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
     entry.name = trace.name().empty() ? "trace" + std::to_string(i) : trace.name();
     entry.geometry = trace.geometry();
     entry.trace_length = trace.length();
-    entry.trace_hash = trace_fingerprint(trace);
+    entry.trace_hash = use_disk ? probed_fps[i] : trace_fingerprint(trace);
     const std::uint64_t key = combined_key(entry.trace_hash, opt_fp);
 
-    std::shared_ptr<const Outcome> outcome;
+    std::shared_ptr<const BatchOutcome> outcome;
     if (!opt_.memoize) {
       outcome = evaluate_trace(trace, worker_opt);
       std::lock_guard<std::mutex> lk(stats_mu);
       ++evaluations;
     } else {
-      std::promise<std::shared_ptr<const Outcome>> promise;
-      std::shared_future<std::shared_ptr<const Outcome>> future;
+      std::promise<std::shared_ptr<const BatchOutcome>> promise;
+      std::shared_future<std::shared_ptr<const BatchOutcome>> future;
       bool owner = false;
       bool from_disk = false;
       {
@@ -292,10 +398,11 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
     entry.points = outcome->points;
     entry.pareto = outcome->pareto;
     entry.error = outcome->error;
+    entry.outcome = std::move(outcome);
   };
 
-  ThreadPool pool(split.outer);
-  pool.parallel_for(traces.size(), work);
+  // One trace, or a budget of one, runs on the calling thread.
+  parallel_for(split.outer, traces.size(), work);
 
   // Queue this run's newly computed successes and hit counts for the next
   // flush_disk(), so the caller decides when (and under which lock) the
@@ -320,85 +427,81 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
 }
 
 std::string batch_report_csv(const BatchResult& result) {
-  std::ostringstream os;
-  os << "trace,width,height,length,trace_hash,architecture,feasible,pareto,"
-        "area_units,delay_ns,clk_to_out_ns,reg_to_reg_ns,cells,flipflops,"
-        "buffers_added,note\n";
+  std::string out =
+      "trace,width,height,length,trace_hash,architecture,feasible,pareto,"
+      "area_units,delay_ns,clk_to_out_ns,reg_to_reg_ns,cells,flipflops,"
+      "buffers_added,note\n";
+  std::string prefix;
+  CsvRows owned;
   for (const BatchEntry& e : result.entries) {
-    const std::string prefix = csv_quote(e.name) + "," + std::to_string(e.geometry.width) +
-                               "," + std::to_string(e.geometry.height) + "," +
-                               std::to_string(e.trace_length) + "," + hex64(e.trace_hash);
-    if (!e.error.empty()) {
-      os << prefix << ",,error,,,,,,,,," << csv_quote(e.error) << "\n";
-      continue;
-    }
-    for (std::size_t i = 0; i < e.points.size(); ++i) {
-      const DesignPoint& p = e.points[i];
-      const bool on_front =
-          std::find(e.pareto.begin(), e.pareto.end(), i) != e.pareto.end();
-      os << prefix << "," << csv_quote(p.architecture) << ","
-         << (p.feasible ? "yes" : "no") << "," << (on_front ? "yes" : "no") << ",";
-      if (p.feasible) {
-        os << fixed6(p.metrics.area_units) << "," << fixed6(p.metrics.delay_ns) << ","
-           << fixed6(p.metrics.clk_to_out_ns) << "," << fixed6(p.metrics.reg_to_reg_ns)
-           << "," << p.metrics.cells << "," << p.metrics.flipflops << ","
-           << p.metrics.buffers_added;
-      } else {
-        os << ",,,,,,";
-      }
-      os << "," << csv_quote(p.note) << "\n";
+    prefix.clear();
+    append_csv(prefix, e.name);
+    prefix += ',';
+    append_uint(prefix, e.geometry.width);
+    prefix += ',';
+    append_uint(prefix, e.geometry.height);
+    prefix += ',';
+    append_uint(prefix, e.trace_length);
+    prefix += ',';
+    prefix += hex64(e.trace_hash);
+    const CsvRows& rows = csv_rows_of(e, owned);
+    std::size_t begin = 0;
+    for (std::size_t end : rows.ends) {
+      out += prefix;
+      out.append(rows.text, begin, end - begin);
+      begin = end;
     }
   }
-  return os.str();
+  return out;
 }
 
 std::string batch_report_json(const BatchResult& result) {
-  std::ostringstream os;
-  os << "{\n";
   // Only input-determined data may appear here: evaluation/cache counters
   // depend on cache warmth and sharding, and would break the byte-identical
   // merge contract.  They are reported out-of-band (stderr in the CLI).
-  os << "  \"summary\": {\"traces\": " << result.traces << "},\n";
-  os << "  \"traces\": [\n";
+  std::string out = "{\n  \"summary\": {\"traces\": ";
+  append_uint(out, result.traces);
+  out += "},\n  \"traces\": [\n";
   for (std::size_t t = 0; t < result.entries.size(); ++t) {
     const BatchEntry& e = result.entries[t];
-    os << "    {\n";
-    os << "      \"name\": " << json_quote(e.name) << ",\n";
-    os << "      \"geometry\": [" << e.geometry.width << ", " << e.geometry.height
-       << "],\n";
-    os << "      \"length\": " << e.trace_length << ",\n";
-    os << "      \"trace_hash\": \"" << hex64(e.trace_hash) << "\",\n";
+    out += "    {\n      \"name\": ";
+    append_json(out, e.name);
+    out += ",\n      \"geometry\": [";
+    append_uint(out, e.geometry.width);
+    out += ", ";
+    append_uint(out, e.geometry.height);
+    out += "],\n      \"length\": ";
+    append_uint(out, e.trace_length);
+    out += ",\n      \"trace_hash\": \"";
+    out += hex64(e.trace_hash);
+    out += "\",\n";
     if (!e.error.empty()) {
-      os << "      \"error\": " << json_quote(e.error) << "\n";
+      out += "      \"error\": ";
+      append_json(out, e.error);
+      out += '\n';
     } else {
-      os << "      \"pareto\": [";
-      for (std::size_t i = 0; i < e.pareto.size(); ++i)
-        os << (i ? ", " : "") << e.pareto[i];
-      os << "],\n";
-      os << "      \"points\": [\n";
+      out += "      \"pareto\": [";
+      for (std::size_t i = 0; i < e.pareto.size(); ++i) {
+        if (i) out += ", ";
+        append_uint(out, e.pareto[i]);
+      }
+      out += "],\n      \"points\": [\n";
       for (std::size_t i = 0; i < e.points.size(); ++i) {
         const DesignPoint& p = e.points[i];
-        os << "        {\"architecture\": " << json_quote(p.architecture)
-           << ", \"feasible\": " << (p.feasible ? "true" : "false");
-        if (p.feasible) {
-          os << ", \"area_units\": " << fixed6(p.metrics.area_units)
-             << ", \"delay_ns\": " << fixed6(p.metrics.delay_ns)
-             << ", \"clk_to_out_ns\": " << fixed6(p.metrics.clk_to_out_ns)
-             << ", \"reg_to_reg_ns\": " << fixed6(p.metrics.reg_to_reg_ns)
-             << ", \"cells\": " << p.metrics.cells
-             << ", \"flipflops\": " << p.metrics.flipflops
-             << ", \"buffers_added\": " << p.metrics.buffers_added;
-        }
-        os << ", \"note\": " << json_quote(p.note) << "}"
-           << (i + 1 < e.points.size() ? ",\n" : "\n");
+        out += "        {\"architecture\": ";
+        append_json(out, p.architecture);
+        out += p.feasible ? ", \"feasible\": true" : ", \"feasible\": false";
+        if (p.feasible) append_metrics(out, p.metrics, kJsonMetricSeparators);
+        out += ", \"note\": ";
+        append_json(out, p.note);
+        out += i + 1 < e.points.size() ? "},\n" : "}\n";
       }
-      os << "      ]\n";
+      out += "      ]\n";
     }
-    os << "    }" << (t + 1 < result.entries.size() ? ",\n" : "\n");
+    out += t + 1 < result.entries.size() ? "    },\n" : "    }\n";
   }
-  os << "  ]\n";
-  os << "}\n";
-  return os.str();
+  out += "  ]\n}\n";
+  return out;
 }
 
 }  // namespace addm::core

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,8 +63,15 @@ struct BatchOptions {
   std::uint64_t cache_budget_bytes = 0;
 };
 
-/// Per-trace exploration outcome, in input order.  Plain value type: every
-/// field is a pure function of the input trace and ExploreOptions.
+/// One memo outcome (defined in batch_explorer.cpp): an exploration's
+/// points, front and error, shared by the memo table, racing waiters and
+/// every entry that resolves to it, plus its CSV rows, rendered once by the
+/// first CSV report that needs them.
+struct BatchOutcome;
+
+/// Per-trace exploration outcome, in input order.  Value type: every field
+/// is a pure function of the input trace and ExploreOptions (copies share
+/// the immutable `outcome`).
 struct BatchEntry {
   std::string name;             ///< trace name (or "trace<N>" when unnamed)
   seq::ArrayGeometry geometry;
@@ -72,6 +80,12 @@ struct BatchEntry {
   std::vector<DesignPoint> points;
   std::vector<std::size_t> pareto;  ///< indices into `points`
   std::string error;  ///< non-empty iff exploration threw for this trace
+  /// The memo outcome `points`, `pareto` and `error` were copied from; only
+  /// BatchExplorer::run sets it.  While those fields still equal the
+  /// outcome's, the CSV report reuses its rendered rows instead of rendering
+  /// them again.  An entry without one (built by hand), or whose fields were
+  /// changed, is rendered from its fields by the same row code.
+  std::shared_ptr<const BatchOutcome> outcome;
 };
 
 /// Result of one run().  `entries` (and reports built from them) depend only
@@ -156,11 +170,16 @@ class BatchExplorer {
 /// CSV report: header + one row per (trace, design point). Fixed numeric
 /// formatting; fields containing separators are quoted. Byte-identical for
 /// identical BatchResult entries, independent of threads and cache state.
+/// Each row is the entry's own prefix (name, geometry, length, hash)
+/// followed by its outcome's cached row, so a report of memo hits only
+/// compares and copies bytes.  Safe to call from several threads at once,
+/// also on entries that share outcomes.
 std::string batch_report_csv(const BatchResult& result);
 
 /// JSON report mirroring the CSV plus a summary object. Deterministic field
 /// order and formatting; contains only input-determined data (no cache or
-/// evaluation counters), so shard reports merge byte-stably.
+/// evaluation counters), so shard reports merge byte-stably.  Rendered from
+/// the entries' fields on every call: nothing is cached for it.
 std::string batch_report_json(const BatchResult& result);
 
 }  // namespace addm::core

@@ -383,20 +383,9 @@ std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
     }
   };
 
-  std::size_t want = opt.arch_threads;
-  if (want == 0) {
-    want = std::thread::hardware_concurrency();
-    if (want == 0) want = 1;
-  }
-  want = std::min(want, selected.size());
-  if (want <= 1) {
-    for (std::size_t i = 0; i < selected.size(); ++i) run_one(i);
-  } else {
-    // Each entry is a leaf task writing only its own slot; the pool is local
-    // to this call, so nesting under a batch worker cannot deadlock.
-    ThreadPool pool(want);
-    pool.parallel_for(selected.size(), run_one);
-  }
+  // Each entry is a leaf task writing only its own slot; any pool is local
+  // to this call, so nesting under a batch worker cannot deadlock.
+  parallel_for(opt.arch_threads, selected.size(), run_one);
 
   // A degenerate trace may fail several entries on different threads;
   // rethrow the first failure in registry order so callers (and their

@@ -47,6 +47,8 @@ struct DesignPoint {
   bool feasible = false;
   std::string note;  ///< why infeasible, or config summary when feasible
   GeneratorMetrics metrics;  ///< zero-initialized when infeasible
+
+  bool operator==(const DesignPoint&) const = default;
 };
 
 /// Knobs that affect exploration.  Every result-affecting field MUST be

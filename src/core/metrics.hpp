@@ -21,6 +21,8 @@ struct GeneratorMetrics {
   std::size_t cells = 0;
   std::size_t flipflops = 0;
   std::size_t buffers_added = 0;
+
+  bool operator==(const GeneratorMetrics&) const = default;
 };
 
 /// Buffers `nl` in place, then runs STA and area analysis.

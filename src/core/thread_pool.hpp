@@ -8,6 +8,9 @@
 //  * parallel_for(n, fn) runs fn(0..n-1) across the pool and waits; with a
 //    pool of size 1 (or n <= 1) it degenerates to a sequential loop, which
 //    makes thread-count-independence tests trivial to anchor.
+//  * The free parallel_for(threads, n, fn) is the one-shot form: it builds a
+//    pool only when min(threads, n) > 1 and otherwise loops on the calling
+//    thread, starting no threads at all.
 //
 // Tasks must not call submit()/wait_idle() on their own pool (no nested
 // scheduling).  Nested parallelism uses two *distinct* pools instead: an
@@ -17,6 +20,7 @@
 // sizes never oversubscribes it.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -27,6 +31,13 @@
 #include <vector>
 
 namespace addm::core {
+
+/// std::thread::hardware_concurrency(), or 1 where it is unknown: what a
+/// thread count of 0 means throughout.
+inline std::size_t hardware_threads() {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 /// A two-level division of one thread budget: `outer` concurrent tasks,
 /// each allowed `inner` threads of its own.
@@ -42,10 +53,8 @@ struct ThreadSplit {
 /// count with outer × inner <= total (at least 1).  Pure scheduling
 /// arithmetic: callers rely on it only for capacity, never for results.
 inline ThreadSplit split_threads(std::size_t total, std::size_t inner_request) {
-  std::size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  if (total == 0) total = hw;
-  if (inner_request == 0) inner_request = hw;
+  if (total == 0) total = hardware_threads();
+  if (inner_request == 0) inner_request = hardware_threads();
   ThreadSplit s;
   s.inner = inner_request < total ? inner_request : total;
   s.outer = total / s.inner;
@@ -56,10 +65,7 @@ class ThreadPool {
  public:
   /// `threads == 0` means std::thread::hardware_concurrency() (min 1).
   explicit ThreadPool(std::size_t threads = 0) {
-    if (threads == 0) {
-      threads = std::thread::hardware_concurrency();
-      if (threads == 0) threads = 1;
-    }
+    if (threads == 0) threads = hardware_threads();
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
       workers_.emplace_back([this] { worker_loop(); });
@@ -155,5 +161,20 @@ class ThreadPool {
   bool stopping_ = false;
   std::exception_ptr first_error_;
 };
+
+/// Runs fn(i) for i in [0, n) on min(threads, n) threads (`threads == 0`
+/// means hardware_threads()), then waits.  A pool is built only when that
+/// is more than one; otherwise the calling thread runs every index in
+/// order and no thread is started.
+inline void parallel_for(std::size_t threads, std::size_t n,
+                         const std::function<void(std::size_t)>& fn) {
+  threads = std::min(threads == 0 ? hardware_threads() : threads, n);
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool pool(threads);
+  pool.parallel_for(n, fn);
+}
 
 }  // namespace addm::core

@@ -7,8 +7,10 @@
 # checks the whole contract from outside the process:
 #   - served reports are byte-identical to offline addm_explore for two
 #     option sets and both output formats (cold AND warm/memo-served),
-#   - path traces, inline traces (--send-trace), and the JSON-lines wire
-#     mode all match their offline equivalents,
+#   - path traces (one never-seen trace asked for as CSV, then as JSON from
+#     the memo outcome whose CSV rows the first request cached), inline
+#     traces (--send-trace), and the JSON-lines wire mode all match their
+#     offline equivalents,
 #   - admin stats/flush/compact work and leave a directory that
 #     addm_cache verify-checksums calls clean,
 #   - addm_explore and addm_client reject the same bad option values (exit 2),
@@ -89,16 +91,26 @@ cmp ref_nofsm.csv got_nofsm.csv || fail "served no-fsm CSV != offline CSV"
 "$CLIENT" --socket "$SOCK" --suite 2 --quiet --format json \
   --out got_default.json || fail "client json-format request"
 cmp ref_default.json got_default.json || fail "served JSON != offline JSON"
+"$CLIENT" --socket "$SOCK" --suite 2 --quiet --format json \
+  --out got_warm.json || fail "client warm json-format request"
+cmp ref_default.json got_warm.json || fail "warm served JSON != offline JSON"
 
 # ---- path and inline traces ----------------------------------------------
-"$(dirname "$SERVE")/addm_trace_gen" --out-dir traces --suite 1 >/dev/null 2>&1 \
-  || fail "trace_gen"
+# A 16x16 base keeps the trace out of the 8x8/16x8 suite the daemon has
+# already explored, so its first request below is a miss.
+"$(dirname "$SERVE")/addm_trace_gen" --out-dir traces --suite 1 --base 16x16 \
+  >/dev/null 2>&1 || fail "trace_gen"
 ONE_TRACE=$(ls traces/*.trace | head -1)
 "$EXPLORE" --trace "$ONE_TRACE" --quiet --out ref_trace.csv \
   || fail "offline trace"
+"$EXPLORE" --trace "$ONE_TRACE" --quiet --format json --out ref_trace.json \
+  || fail "offline trace json"
 "$CLIENT" --socket "$SOCK" --trace "$ONE_TRACE" --quiet --out got_trace.csv \
   || fail "client path trace"
 cmp ref_trace.csv got_trace.csv || fail "served path-trace CSV != offline"
+"$CLIENT" --socket "$SOCK" --trace "$ONE_TRACE" --quiet --format json \
+  --out got_trace.json || fail "client path trace json"
+cmp ref_trace.json got_trace.json || fail "served path-trace JSON != offline"
 "$CLIENT" --socket "$SOCK" --send-trace "$ONE_TRACE" --quiet \
   --out got_inline.csv || fail "client inline trace"
 cmp ref_trace.csv got_inline.csv || fail "served inline-trace CSV != offline"

@@ -1,10 +1,13 @@
 // Tests for the worker pool behind the batch explorer: completion, exception
-// propagation, reuse across waves, and parallel_for coverage.
+// propagation, reuse across waves, parallel_for coverage, and the one-shot
+// parallel_for that starts no thread when one would do.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -42,6 +45,36 @@ TEST(ThreadPool, ParallelForOnSingleThreadRunsInOrder) {
   std::vector<std::size_t> expect(10);
   std::iota(expect.begin(), expect.end(), 0);
   EXPECT_EQ(order, expect);
+}
+
+TEST(ThreadPool, OneShotParallelForRunsInlineWhenOneThreadWouldDo) {
+  // One thread, or one index at any thread count: every call runs on the
+  // calling thread, in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const auto& [threads, n] : {std::pair<std::size_t, std::size_t>{1, 10}, {8, 1}, {0, 1}}) {
+    std::vector<std::size_t> order;
+    parallel_for(threads, n, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<std::size_t> expect(n);
+    std::iota(expect.begin(), expect.end(), 0);
+    EXPECT_EQ(order, expect) << threads << " threads, " << n << " indices";
+  }
+  parallel_for(4, 0, [](std::size_t) { ADD_FAILURE() << "no index to run"; });
+}
+
+TEST(ThreadPool, OneShotParallelForCoversEveryIndexOnce) {
+  for (std::size_t threads : {0u, 2u, 3u, 8u}) {
+    std::vector<std::atomic<int>> hits(257);
+    parallel_for(threads, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i].load(), 1) << threads << " threads, index " << i;
+  }
+  EXPECT_THROW(parallel_for(2, 4, [](std::size_t i) {
+                 if (i == 3) throw std::runtime_error("task failed");
+               }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
