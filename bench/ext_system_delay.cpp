@@ -47,7 +47,8 @@ netlist::Netlist conventional_system(std::size_t dim) {
   const auto reset = b.input("reset");
   const auto din = b.input("din");
   const auto we = b.input("we");
-  const auto gen = core::build_cntag(b, trace, next, reset, opt);
+  const auto gen = core::build_cntag(b, trace, core::cntag_covers(trace, opt.minimize),
+                                    next, reset, opt);
   const auto array = memory::build_decoded_array(b, {dim, dim}, gen.row_addr,
                                                  gen.col_addr, din, we,
                                                  synth::DecoderStyle::SharedChain);

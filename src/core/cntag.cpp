@@ -15,18 +15,27 @@ using netlist::NetlistBuilder;
 
 namespace {
 
-/// Synthesizes `values[idx]` bit `bit` as a function of the index bits.
-NetId synth_table_bit(NetlistBuilder& b, std::span<const NetId> index_bits,
-                      const std::vector<std::uint32_t>& values, int bit, bool flat,
-                      const logic::MinimizeOptions& minimize) {
-  const int n = static_cast<int>(index_bits.size());
+void check_trace(const seq::AddressTrace& trace) {
+  if (trace.empty()) throw std::invalid_argument("build_cntag: empty trace");
+  if (trace.length() > (std::size_t{1} << 22))
+    throw std::invalid_argument("build_cntag: trace too long for table synthesis");
+}
+
+/// Minimizes bit `bit` of `values[idx]` as a function of the `n` index bits.
+logic::Cover minimize_table_bit(int n, const std::vector<std::uint32_t>& values, int bit,
+                                const logic::MinimizeOptions& minimize) {
   TruthTable onset(n);
   TruthTable care(n);
   for (std::size_t i = 0; i < values.size(); ++i) {
     care.set(i, true);
     if ((values[i] >> bit) & 1) onset.set(i, true);
   }
-  const auto cover = logic::minimize(onset, onset | ~care, minimize);
+  return logic::minimize(onset, onset | ~care, minimize);
+}
+
+/// Maps one address bit's cover over the index bits.
+NetId map_table_bit(NetlistBuilder& b, std::span<const NetId> index_bits,
+                    const logic::Cover& cover, bool flat) {
   const bool saved = b.sharing();
   b.set_sharing(!flat);
   const NetId out = logic::map_cover(b, cover, index_bits);
@@ -36,12 +45,28 @@ NetId synth_table_bit(NetlistBuilder& b, std::span<const NetId> index_bits,
 
 }  // namespace
 
-CntAgPorts build_cntag(NetlistBuilder& b, const seq::AddressTrace& trace, NetId next,
-                       NetId reset, const CntAgOptions& opt) {
-  if (trace.empty()) throw std::invalid_argument("build_cntag: empty trace");
+CntAgCovers cntag_covers(const seq::AddressTrace& trace,
+                         const logic::MinimizeOptions& minimize) {
+  check_trace(trace);
+  const int n = synth::bits_for(trace.length());
+  const auto rows = trace.rows();
+  const auto cols = trace.cols();
+  CntAgCovers covers;
+  for (int k = 0; k < synth::bits_for(trace.geometry().height); ++k)
+    covers.row.push_back(minimize_table_bit(n, rows, k, minimize));
+  for (int k = 0; k < synth::bits_for(trace.geometry().width); ++k)
+    covers.col.push_back(minimize_table_bit(n, cols, k, minimize));
+  return covers;
+}
+
+CntAgPorts build_cntag(NetlistBuilder& b, const seq::AddressTrace& trace,
+                       const CntAgCovers& covers, NetId next, NetId reset,
+                       const CntAgOptions& opt) {
+  check_trace(trace);
   const std::size_t length = trace.length();
-  if (length > (std::size_t{1} << 22))
-    throw std::invalid_argument("build_cntag: trace too long for table synthesis");
+  if (covers.row.size() != static_cast<std::size_t>(synth::bits_for(trace.geometry().height)) ||
+      covers.col.size() != static_cast<std::size_t>(synth::bits_for(trace.geometry().width)))
+    throw std::invalid_argument("build_cntag: covers do not match the trace geometry");
 
   CntAgPorts ports;
 
@@ -54,16 +79,10 @@ CntAgPorts build_cntag(NetlistBuilder& b, const seq::AddressTrace& trace, NetId 
   ports.index = synth::build_counter(b, spec, next, reset).q;
 
   // Index -> (row, col) transform, one minimized function per address bit.
-  const auto rows = trace.rows();
-  const auto cols = trace.cols();
-  const int row_bits = synth::bits_for(trace.geometry().height);
-  const int col_bits = synth::bits_for(trace.geometry().width);
-  for (int k = 0; k < row_bits; ++k)
-    ports.row_addr.push_back(
-        synth_table_bit(b, ports.index, rows, k, opt.flat_transform, opt.minimize));
-  for (int k = 0; k < col_bits; ++k)
-    ports.col_addr.push_back(
-        synth_table_bit(b, ports.index, cols, k, opt.flat_transform, opt.minimize));
+  for (const logic::Cover& cover : covers.row)
+    ports.row_addr.push_back(map_table_bit(b, ports.index, cover, opt.flat_transform));
+  for (const logic::Cover& cover : covers.col)
+    ports.col_addr.push_back(map_table_bit(b, ports.index, cover, opt.flat_transform));
 
   if (opt.include_decoders) {
     ports.rs = synth::build_decoder(b, ports.row_addr, trace.geometry().height,
@@ -75,12 +94,12 @@ CntAgPorts build_cntag(NetlistBuilder& b, const seq::AddressTrace& trace, NetId 
 }
 
 Netlist elaborate_cntag(const seq::AddressTrace& trace, const CntAgOptions& opt,
-                        CntAgPorts* ports_out) {
+                        const CntAgCovers& covers, CntAgPorts* ports_out) {
   Netlist nl;
   NetlistBuilder b(nl);
   const NetId next = b.input("next");
   const NetId reset = b.input("reset");
-  CntAgPorts ports = build_cntag(b, trace, next, reset, opt);
+  CntAgPorts ports = build_cntag(b, trace, covers, next, reset, opt);
   b.output_bus("ra", ports.row_addr);
   b.output_bus("ca", ports.col_addr);
   if (opt.include_decoders) {
@@ -89,6 +108,11 @@ Netlist elaborate_cntag(const seq::AddressTrace& trace, const CntAgOptions& opt,
   }
   if (ports_out) *ports_out = std::move(ports);
   return nl;
+}
+
+Netlist elaborate_cntag(const seq::AddressTrace& trace, const CntAgOptions& opt,
+                        CntAgPorts* ports_out) {
+  return elaborate_cntag(trace, opt, cntag_covers(trace, opt.minimize), ports_out);
 }
 
 }  // namespace addm::core

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "logic/minimize.hpp"
 #include "netlist/builder.hpp"
@@ -36,9 +37,10 @@ struct CntAgOptions {
   /// Figure 1, whose decode happens inside the RAM macro; the paper's
   /// CntAG delay/area figures include the decode, so true is the default).
   bool include_decoders = true;
-  /// Two-level minimizer for the index->address transform.  The default
-  /// routes everything through ISOP (byte-identical to the historical
-  /// behavior); long traces want MinimizerAlgo::Auto/Espresso.
+  /// Two-level minimizer for the index->address transform, used where
+  /// elaborate_cntag minimizes its own covers.  The default routes
+  /// everything through ISOP (byte-identical to the historical behavior);
+  /// long traces want MinimizerAlgo::Auto/Espresso.
   logic::MinimizeOptions minimize;
 };
 
@@ -50,10 +52,26 @@ struct CntAgPorts {
   std::vector<netlist::NetId> cs;        ///< one-hot column selects (if decoders)
 };
 
-/// Appends a CntAG for `trace` to `b`, driven by `next`/`reset`.
+/// The minimized index->address transform of a trace: one cover per row
+/// address bit, then one per column address bit, LSB first, each over the
+/// sequence counter's bits.  It depends on the trace and the minimizer
+/// alone, so every decoder style and every rebuild of one trace shares it.
+struct CntAgCovers {
+  std::vector<logic::Cover> row;
+  std::vector<logic::Cover> col;
+};
+
+/// Minimizes `trace`'s transform, one logic::minimize call per address bit
+/// (row bits, then column bits).  Throws std::invalid_argument for a trace
+/// build_cntag rejects (empty, or longer than 2^22 accesses).
+CntAgCovers cntag_covers(const seq::AddressTrace& trace,
+                         const logic::MinimizeOptions& minimize = {});
+
+/// Appends a CntAG for `trace` to `b`, driven by `next`/`reset`, mapping
+/// `covers` — cntag_covers(trace, opt.minimize) — as its transform.
 CntAgPorts build_cntag(netlist::NetlistBuilder& b, const seq::AddressTrace& trace,
-                       netlist::NetId next, netlist::NetId reset,
-                       const CntAgOptions& opt = {});
+                       const CntAgCovers& covers, netlist::NetId next,
+                       netlist::NetId reset, const CntAgOptions& opt = {});
 
 /// Standalone netlist: inputs "next"/"reset"; outputs "ra[...]", "ca[...]"
 /// and, with decoders, "rs[...]", "cs[...]".  The ports go to `ports` when
@@ -61,5 +79,10 @@ CntAgPorts build_cntag(netlist::NetlistBuilder& b, const seq::AddressTrace& trac
 netlist::Netlist elaborate_cntag(const seq::AddressTrace& trace,
                                  const CntAgOptions& opt = {},
                                  CntAgPorts* ports = nullptr);
+
+/// The same netlist, mapping `covers` (cntag_covers(trace, opt.minimize))
+/// instead of minimizing its own.
+netlist::Netlist elaborate_cntag(const seq::AddressTrace& trace, const CntAgOptions& opt,
+                                 const CntAgCovers& covers, CntAgPorts* ports = nullptr);
 
 }  // namespace addm::core

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <exception>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/cntag.hpp"
 #include "core/multicounter.hpp"
@@ -192,7 +193,8 @@ bool is_fifo(const seq::AddressTrace& trace) {
 
 bool always(const seq::AddressTrace&, const ExploreOptions&) { return true; }
 
-CandidateBuild build_srag(const seq::AddressTrace& trace, const ExploreOptions&) {
+CandidateBuild build_srag(const seq::AddressTrace& trace, const ExploreOptions&,
+                          BuildContext&) {
   try {
     Srag2dBuild srag = build_srag_2d_for_trace(trace);
     std::ostringstream note;
@@ -209,7 +211,8 @@ CandidateBuild build_srag(const seq::AddressTrace& trace, const ExploreOptions&)
   }
 }
 
-CandidateBuild build_multicounter(const seq::AddressTrace& trace, const ExploreOptions&) {
+CandidateBuild build_multicounter(const seq::AddressTrace& trace, const ExploreOptions&,
+                                  BuildContext&) {
   auto row_map = map_sequence_multicounter(
       trace.rows(), static_cast<std::uint32_t>(trace.geometry().height));
   auto col_map = map_sequence_multicounter(
@@ -232,8 +235,8 @@ CandidateBuild build_multicounter(const seq::AddressTrace& trace, const ExploreO
 GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
                            std::string note) {
   return {std::move(name), always,
-          [style, note](const seq::AddressTrace& trace,
-                        const ExploreOptions& opt) -> CandidateBuild {
+          [style, note](const seq::AddressTrace& trace, const ExploreOptions& opt,
+                        BuildContext& ctx) -> CandidateBuild {
             // A one-access sequence has no modulo-2-or-more counter to build.
             if (trace.length() == 1)
               return {std::nullopt, "sequence counter needs at least 2 accesses"};
@@ -241,7 +244,8 @@ GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
             copt.decoder_style = style;
             copt.minimize = opt.minimize;
             CntAgPorts ports;
-            ReferenceCircuit rc{elaborate_cntag(trace, copt, &ports)};
+            ReferenceCircuit rc{
+                elaborate_cntag(trace, copt, ctx.cntag_covers(trace, opt.minimize), &ports)};
             // The sequence counter holds p at access p.
             rc.state = std::move(ports.index);
             rc.state_at = closed_form_recipe(
@@ -255,7 +259,8 @@ GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
 GeneratorEntry fsm_entry(std::string name, synth::FsmEncoding enc) {
   return {std::move(name),
           [](const seq::AddressTrace&, const ExploreOptions& opt) { return opt.include_fsm; },
-          [enc](const seq::AddressTrace& trace, const ExploreOptions& opt) -> CandidateBuild {
+          [enc](const seq::AddressTrace& trace, const ExploreOptions& opt,
+                BuildContext&) -> CandidateBuild {
             if (trace.length() > opt.max_fsm_states) {
               return {std::nullopt, "synthesis impractical beyond " +
                                         std::to_string(opt.max_fsm_states) +
@@ -266,7 +271,8 @@ GeneratorEntry fsm_entry(std::string name, synth::FsmEncoding enc) {
           }};
 }
 
-CandidateBuild build_sfm(const seq::AddressTrace& trace, const ExploreOptions&) {
+CandidateBuild build_sfm(const seq::AddressTrace& trace, const ExploreOptions&,
+                         BuildContext&) {
   if (!is_fifo(trace)) return {std::nullopt, "SFM supports FIFO access only"};
   // The head pointer walks the FIFO order, i.e. the linear trace; the tail
   // pointer never moves.  At access p the read ring holds its token at p
@@ -304,12 +310,26 @@ std::vector<GeneratorEntry> build_registry() {
   for (GeneratorEntry& e : reg)
     e.reference = [build = e.build](const seq::AddressTrace& trace,
                                     const ExploreOptions& opt) {
-      return build(trace, opt).circuit;
+      BuildContext ctx;
+      return build(trace, opt, ctx).circuit;
     };
   return reg;
 }
 
 }  // namespace
+
+const CntAgCovers& BuildContext::cntag_covers(const seq::AddressTrace& trace,
+                                              const logic::MinimizeOptions& minimize) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!cntag_) {
+    cntag_ = core::cntag_covers(trace, minimize);
+    trace_ = &trace;
+    minimize_ = minimize;
+  } else if (&trace != trace_ || minimize != minimize_) {
+    throw std::logic_error("BuildContext: one context serves one trace and minimizer");
+  }
+  return *cntag_;
+}
 
 const std::vector<GeneratorEntry>& generator_registry() {
   static const std::vector<GeneratorEntry> registry = build_registry();
@@ -323,8 +343,8 @@ std::vector<std::string> generator_names() {
 }
 
 DesignPoint evaluate_generator(const GeneratorEntry& e, const seq::AddressTrace& trace,
-                               const ExploreOptions& opt) {
-  CandidateBuild b = e.build(trace, opt);
+                               const ExploreOptions& opt, BuildContext& ctx) {
+  CandidateBuild b = e.build(trace, opt, ctx);
   DesignPoint p;
   p.architecture = e.name;
   p.note = std::move(b.note);
@@ -373,11 +393,14 @@ std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
     selected.push_back(&e);
   }
 
+  // Shared by every build below, front rebuilds included, and by every
+  // thread; it ends with this call, so nothing stays resident.
+  BuildContext ctx;
   std::vector<DesignPoint> points(selected.size());
   std::vector<std::exception_ptr> errors(selected.size());
   auto run_one = [&](std::size_t i) {
     try {
-      points[i] = evaluate_generator(*selected[i], trace, opt);
+      points[i] = evaluate_generator(*selected[i], trace, opt, ctx);
     } catch (...) {
       errors[i] = std::current_exception();
     }
@@ -404,7 +427,7 @@ std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
   if (opt.verify_front)
     for (std::size_t i : pareto_front(points))
       points[i].note +=
-          verify_verdict(selected[i]->build(trace, opt).circuit.value(), trace);
+          verify_verdict(selected[i]->build(trace, opt, ctx).circuit.value(), trace);
   return points;
 }
 

@@ -25,12 +25,14 @@
 #pragma once
 
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/cntag.hpp"
 #include "core/metrics.hpp"
 #include "logic/minimize.hpp"
 #include "netlist/netlist.hpp"
@@ -132,6 +134,36 @@ struct CandidateBuild {
   std::string note;  ///< config summary when feasible, reason when infeasible
 };
 
+/// The work that the registry builds for one trace share: one context per
+/// explore_generators call, kept until its front is verified, so that work
+/// is done once per call instead of once per candidate and per front
+/// rebuild.  It holds the CntAG transform covers, which the three CntAG
+/// entries and their rebuilds all map; it holds no netlists, which cost
+/// far more memory to keep (docs/ARCHITECTURE.md, generator registry).
+/// One context serves one (trace, minimizer) pair; builds may share it
+/// from any number of threads.
+class BuildContext {
+ public:
+  BuildContext() = default;
+  BuildContext(const BuildContext&) = delete;
+  BuildContext& operator=(const BuildContext&) = delete;
+
+  /// cntag_covers(trace, minimize), computed by the first caller while
+  /// concurrent callers wait.  A computation that throws leaves the
+  /// context empty, so the next caller computes again and throws the same
+  /// error.  Throws std::logic_error when asked for another trace object
+  /// or minimizer than the covers it holds.
+  const CntAgCovers& cntag_covers(const seq::AddressTrace& trace,
+                                  const logic::MinimizeOptions& minimize);
+
+ private:
+  std::mutex mu_;
+  // Guarded by mu_; set together, once, by the first computation that returns.
+  std::optional<CntAgCovers> cntag_;
+  const seq::AddressTrace* trace_ = nullptr;
+  logic::MinimizeOptions minimize_;
+};
+
 /// One self-describing candidate architecture in the registry.  The
 /// callables are pure functions of their arguments and thread-safe for
 /// concurrent invocation.
@@ -145,11 +177,15 @@ struct GeneratorEntry {
   std::function<bool(const seq::AddressTrace&, const ExploreOptions&)> applicable;
   /// Maps and elaborates the candidate for `trace`, unmeasured: the one
   /// constructor of its netlist, for measurement and for front replay.
-  /// Per-candidate rejection is a build without a circuit; throws only for
-  /// degenerate traces that no candidate could process.
-  std::function<CandidateBuild(const seq::AddressTrace&, const ExploreOptions&)> build;
-  /// `build(trace, opt).circuit`, for callers that replay a candidate
-  /// without measuring it.  The registry sets it for every entry.
+  /// Work shared with the other builds of `trace` under `opt` comes from
+  /// `ctx`.  Per-candidate rejection is a build without a circuit; throws
+  /// only for degenerate traces that no candidate could process.
+  std::function<CandidateBuild(const seq::AddressTrace&, const ExploreOptions&,
+                               BuildContext&)>
+      build;
+  /// `build(trace, opt, ctx).circuit` with a context of its own, for
+  /// callers that replay a candidate without measuring it.  The registry
+  /// sets it for every entry.
   std::function<std::optional<ReferenceCircuit>(const seq::AddressTrace&,
                                                 const ExploreOptions&)>
       reference = {};
@@ -166,10 +202,11 @@ const std::vector<GeneratorEntry>& generator_registry();
 /// Registry names, in registry order — the valid `archs` values.
 std::vector<std::string> generator_names();
 
-/// Builds `e`'s candidate for `trace` and measures it (core/metrics.hpp):
-/// the DesignPoint explore_generators reports for that entry.
+/// Builds `e`'s candidate for `trace` through `ctx` and measures it
+/// (core/metrics.hpp): the DesignPoint explore_generators reports for that
+/// entry.
 DesignPoint evaluate_generator(const GeneratorEntry& e, const seq::AddressTrace& trace,
-                               const ExploreOptions& opt);
+                               const ExploreOptions& opt, BuildContext& ctx);
 
 /// Evaluates every applicable candidate architecture for `trace` and
 /// returns one DesignPoint per candidate, in registry order.

@@ -11,8 +11,10 @@ using netlist::NetlistBuilder;
 NetId map_cover(NetlistBuilder& b, const Cover& cover, std::span<const NetId> inputs) {
   std::vector<NetId> cube_nets;
   cube_nets.reserve(cover.cubes.size());
+  std::vector<NetId> lits;  // one cube's literals, reused across cubes
+  lits.reserve(inputs.size());
   for (const Cube& c : cover.cubes) {
-    std::vector<NetId> lits;
+    lits.clear();
     for (std::size_t k = 0; k < inputs.size(); ++k) {
       if (!(c.mask & (1u << k))) continue;
       lits.push_back((c.polarity & (1u << k)) ? inputs[k] : b.inv(inputs[k]));

@@ -20,13 +20,10 @@ void NetlistBuilder::output_bus(const std::string& name, std::span<const NetId> 
     output(name + "[" + std::to_string(i) + "]", nets[i]);
 }
 
-NetId NetlistBuilder::emit(CellType type, std::vector<NetId> inputs) {
-  Key key{type};
+NetId NetlistBuilder::emit(CellType type, CellInputs inputs) {
   if (traits(type).commutative && inputs.size() == 2 && inputs[0] > inputs[1])
     std::swap(inputs[0], inputs[1]);
-  if (!inputs.empty()) key.a = inputs[0];
-  if (inputs.size() > 1) key.b = inputs[1];
-  if (inputs.size() > 2) key.c = inputs[2];
+  const Key key{type, inputs};
 
   const bool cacheable = sharing_ && !is_sequential(type);
   if (cacheable) {
@@ -34,7 +31,7 @@ NetId NetlistBuilder::emit(CellType type, std::vector<NetId> inputs) {
     if (it != cache_.end()) return it->second;
   }
   const NetId out = nl_->new_net();
-  nl_->add_cell(type, std::move(inputs), out);
+  nl_->add_cell(type, inputs, out);
   if (cacheable) cache_.emplace(key, out);
   return out;
 }
@@ -134,20 +131,23 @@ NetId NetlistBuilder::dff_es(NetId d, NetId en, NetId set) {
 
 NetId NetlistBuilder::reduce_tree(CellType op, std::span<const NetId> xs, NetId identity) {
   if (xs.empty()) return identity;
-  std::vector<NetId> level(xs.begin(), xs.end());
+  // Each level overwrites the front half of the one before: pair i lands in
+  // slot i/2 only after both of its nets were read.  No primitive below
+  // reduces a tree, so the buffer is never in use twice.
+  std::vector<NetId>& level = tree_;
+  level.assign(xs.begin(), xs.end());
   while (level.size() > 1) {
-    std::vector<NetId> next;
-    next.reserve((level.size() + 1) / 2);
+    std::size_t n = 0;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
       switch (op) {
-        case CellType::And2: next.push_back(and2(level[i], level[i + 1])); break;
-        case CellType::Or2:  next.push_back(or2(level[i], level[i + 1])); break;
-        case CellType::Xor2: next.push_back(xor2(level[i], level[i + 1])); break;
+        case CellType::And2: level[n++] = and2(level[i], level[i + 1]); break;
+        case CellType::Or2:  level[n++] = or2(level[i], level[i + 1]); break;
+        case CellType::Xor2: level[n++] = xor2(level[i], level[i + 1]); break;
         default: throw std::logic_error("reduce_tree: unsupported op");
       }
     }
-    if (level.size() % 2 == 1) next.push_back(level.back());
-    level = std::move(next);
+    if (level.size() % 2 == 1) level[n++] = level.back();
+    level.resize(n);
   }
   return level.front();
 }

@@ -76,19 +76,19 @@ class NetlistBuilder {
   NetId equals_const(std::span<const NetId> word, std::uint64_t value);
 
  private:
-  NetId emit(CellType type, std::vector<NetId> inputs);
+  NetId emit(CellType type, CellInputs inputs);
   NetId reduce_tree(CellType op, std::span<const NetId> xs, NetId identity);
 
   struct Key {
     CellType type;
-    NetId a = kInvalidNet, b = kInvalidNet, c = kInvalidNet;
+    CellInputs inputs;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
       std::size_t h = static_cast<std::size_t>(k.type);
       auto mix = [&h](NetId n) { h = h * 1000003u + n + 0x9e3779b9u; };
-      mix(k.a); mix(k.b); mix(k.c);
+      for (NetId n : k.inputs) mix(n);
       return h;
     }
   };
@@ -97,6 +97,7 @@ class NetlistBuilder {
   bool sharing_ = true;
   std::unordered_map<Key, NetId, KeyHash> cache_;
   std::unordered_map<NetId, NetId> inv_of_;  // both directions, for pairing
+  std::vector<NetId> tree_;  // reduce_tree's level, halved in place; reused
 };
 
 }  // namespace addm::netlist

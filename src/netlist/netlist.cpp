@@ -45,6 +45,15 @@ std::vector<NetId> find_bus(std::span<const std::string> names,
 }
 }  // namespace
 
+CellInputs::CellInputs(std::span<const NetId> nets) {
+  if (nets.size() > kCapacity)
+    throw std::invalid_argument("CellInputs: a cell has at most " +
+                                std::to_string(kCapacity) + " inputs, not " +
+                                std::to_string(nets.size()));
+  std::copy(nets.begin(), nets.end(), nets_);
+  size_ = static_cast<std::uint8_t>(nets.size());
+}
+
 Netlist::Netlist() {
   // Nets 0 and 1 are the constant nets.
   num_nets_ = 2;
@@ -81,7 +90,7 @@ void Netlist::add_output(std::string name, NetId net) {
   output_names_.push_back(std::move(name));
 }
 
-std::size_t Netlist::add_cell(CellType type, std::vector<NetId> inputs, NetId output) {
+std::size_t Netlist::add_cell(CellType type, CellInputs inputs, NetId output) {
   const CellTraits t = traits(type);
   if (static_cast<int>(inputs.size()) != t.num_inputs)
     throw std::invalid_argument("add_cell: arity mismatch for " + std::string(t.name));
@@ -89,7 +98,7 @@ std::size_t Netlist::add_cell(CellType type, std::vector<NetId> inputs, NetId ou
     if (in >= num_nets_) throw std::out_of_range("add_cell: unknown input net");
   if (output >= num_nets_) throw std::out_of_range("add_cell: unknown output net");
   const std::size_t idx = cells_.size();
-  cells_.push_back(Cell{type, std::move(inputs), output});
+  cells_.push_back(Cell{type, inputs, output});
   // Record the driver; duplicates are reported by validate() rather than
   // thrown here so that analysis tools can inspect malformed netlists.
   if (driver_[output] == kDrvNone)
@@ -234,9 +243,9 @@ std::size_t Netlist::sweep_dead_cells() {
   std::vector<Cell> kept;
   kept.reserve(cells_.size());
   std::size_t removed = 0;
-  for (Cell& c : cells_) {
+  for (const Cell& c : cells_) {
     if (live_net[c.output]) {
-      kept.push_back(std::move(c));
+      kept.push_back(c);
     } else {
       driver_[c.output] = kDrvNone;
       ++removed;

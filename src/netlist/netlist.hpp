@@ -7,9 +7,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -17,15 +20,47 @@
 
 namespace addm::netlist {
 
+/// A cell's input nets in pin order (see CellType), held inline: no cell
+/// type has more than kCapacity inputs, so making a cell or a structural
+/// hash key allocates nothing.
+class CellInputs {
+ public:
+  static constexpr std::size_t kCapacity = 3;
+
+  CellInputs() = default;
+  /// Throws std::invalid_argument for more than kCapacity nets.
+  CellInputs(std::span<const NetId> nets);
+  CellInputs(std::initializer_list<NetId> nets)
+      : CellInputs(std::span<const NetId>(nets.begin(), nets.size())) {}
+
+  std::size_t size() const { return size_; }
+  NetId operator[](std::size_t pin) const { return nets_[pin]; }
+  NetId& operator[](std::size_t pin) { return nets_[pin]; }
+  const NetId* begin() const { return nets_; }
+  const NetId* end() const { return nets_ + size_; }
+
+  /// Unused slots stay kInvalidNet, so equal inputs compare equal.
+  bool operator==(const CellInputs&) const = default;
+
+ private:
+  NetId nets_[kCapacity] = {kInvalidNet, kInvalidNet, kInvalidNet};
+  std::uint8_t size_ = 0;
+};
+
 /// One cell instance. `inputs.size()` always equals traits(type).num_inputs.
 struct Cell {
   CellType type;
-  std::vector<NetId> inputs;
+  CellInputs inputs;
   NetId output = kInvalidNet;
   /// Drive strength (X1/X2/X4). Functionally irrelevant; the technology
   /// layer scales area up and output load sensitivity down with it.
   std::uint8_t drive = 1;
 };
+
+// Netlists of ~10^5 cells are copied, swept and scanned whole; a cell stays
+// one small flat value.
+static_assert(std::is_trivially_copyable_v<Cell>);
+static_assert(sizeof(Cell) <= 32);
 
 /// Per-cell-type instance counts plus totals; produced by Netlist::stats().
 struct NetlistStats {
@@ -65,7 +100,7 @@ class Netlist {
   /// Marks an existing net as a named primary output.
   void add_output(std::string name, NetId net);
   /// Adds a cell; inputs must match the arity of `type`. Returns cell index.
-  std::size_t add_cell(CellType type, std::vector<NetId> inputs, NetId output);
+  std::size_t add_cell(CellType type, CellInputs inputs, NetId output);
 
   /// Rewires one input pin of an existing cell (used by netlist transforms
   /// such as buffer-tree insertion).

@@ -105,15 +105,19 @@ Netlist read_netlist(std::istream& in) {
       if (next_tok != "->") fail(line_no, "expected '->'");
       NetId out_net;
       if (!(ls >> out_net)) fail(line_no, "missing output net");
-      std::vector<NetId> inputs;
+      NetId inputs[CellInputs::kCapacity] = {};
+      std::size_t num_inputs = 0;
       NetId in_net;
       while (ls >> in_net) {
         if (in_net >= declared_nets) fail(line_no, "input net out of range");
-        inputs.push_back(in_net);
+        if (num_inputs == CellInputs::kCapacity)
+          fail(line_no, "more than " + std::to_string(CellInputs::kCapacity) + " cell inputs");
+        inputs[num_inputs++] = in_net;
       }
       if (out_net >= declared_nets) fail(line_no, "output net out of range");
       try {
-        const std::size_t idx = nl.add_cell(type, std::move(inputs), out_net);
+        const std::size_t idx =
+            nl.add_cell(type, std::span<const NetId>(inputs, num_inputs), out_net);
         if (drive != 1) nl.set_cell_drive(idx, drive);
       } catch (const std::exception& e) {
         fail(line_no, e.what());

@@ -3,9 +3,14 @@
 // workloads, decoder styles and carry styles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <tuple>
 
 #include "core/cntag.hpp"
+#include "core/explorer.hpp"
+#include "netlist/netlist_io.hpp"
 #include "seq/workloads.hpp"
 #include "sim/simulator.hpp"
 #include "tech/library.hpp"
@@ -131,8 +136,59 @@ TEST(CntAg, RejectsEmptyTrace) {
   netlist::Netlist nl;
   netlist::NetlistBuilder b(nl);
   seq::AddressTrace empty({2, 2}, {});
-  EXPECT_THROW(build_cntag(b, empty, netlist::kConst1, netlist::kConst0, {}),
+  EXPECT_THROW(cntag_covers(empty), std::invalid_argument);
+  EXPECT_THROW(build_cntag(b, empty, {}, netlist::kConst1, netlist::kConst0, {}),
                std::invalid_argument);
+}
+
+TEST(CntAg, SharedCoversBuildTheSameNetlists) {
+  // explore_generators hands every build of a trace one BuildContext, which
+  // minimizes the CntAG transform once.  Each CntAG registry entry built
+  // through it, and built again through it as the front rebuild does, must
+  // serialize exactly as elaborate_cntag minimizing its own covers.
+  const std::pair<const char*, synth::DecoderStyle> entries[] = {
+      {"CntAG-flat", synth::DecoderStyle::Flat},
+      {"CntAG-shared", synth::DecoderStyle::SharedChain},
+      {"CntAG-predecoded", synth::DecoderStyle::SharedBalanced}};
+  std::vector<seq::AddressTrace> traces = seq::scaled_suite({8, 8}, 4);
+  // 57 raster passes over 24x24: 16 index bits, a period of 576.
+  std::vector<std::uint32_t> raster;
+  for (int pass = 0; pass < 57; ++pass)
+    for (std::uint32_t a = 0; a < 576; ++a) raster.push_back(a);
+  traces.emplace_back(seq::ArrayGeometry{24, 24}, raster, "raster_24x24_57");
+  std::vector<std::uint32_t> shuffled(256);
+  std::iota(shuffled.begin(), shuffled.end(), 0u);
+  std::mt19937 rng(7);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  traces.emplace_back(seq::ArrayGeometry{16, 16}, shuffled, "shuffled_16x16");
+
+  for (logic::MinimizerAlgo algo : {logic::MinimizerAlgo::Isop, logic::MinimizerAlgo::Espresso}) {
+    ExploreOptions opt;
+    opt.minimize.algo = algo;
+    for (const seq::AddressTrace& trace : traces) {
+      SCOPED_TRACE(trace.name() + " " + logic::minimizer_name(algo));
+      BuildContext ctx;
+      for (const auto& [name, style] : entries) {
+        const auto entry = std::find_if(
+            generator_registry().begin(), generator_registry().end(),
+            [name = std::string(name)](const GeneratorEntry& e) { return e.name == name; });
+        ASSERT_NE(entry, generator_registry().end()) << name;
+        CntAgOptions copt;
+        copt.decoder_style = style;
+        copt.minimize = opt.minimize;
+        const std::string own = netlist::write_netlist_string(elaborate_cntag(trace, copt));
+        const CandidateBuild first = entry->build(trace, opt, ctx);
+        const CandidateBuild again = entry->build(trace, opt, ctx);
+        ASSERT_TRUE(first.circuit && again.circuit) << name;
+        EXPECT_EQ(netlist::write_netlist_string(first.circuit->netlist), own) << name;
+        EXPECT_EQ(netlist::write_netlist_string(again.circuit->netlist), own) << name;
+      }
+      // A context holds one trace's covers; another trace's build through
+      // it must not map them.
+      const seq::AddressTrace other = seq::incremental({8, 8});
+      EXPECT_THROW(ctx.cntag_covers(other, opt.minimize), std::logic_error);
+    }
+  }
 }
 
 TEST(CntAg, NonSquareGeometry) {

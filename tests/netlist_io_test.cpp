@@ -89,6 +89,17 @@ TEST(NetlistIo, ParserDiagnostics) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
   }
+  // More inputs than any cell holds: a file is outside input, so the
+  // reader names the line instead of overrunning the cell.
+  for (const char* inputs : {"2 2 2 2", "2 3 2 3 2 3 2 3"}) {
+    try {
+      read_netlist_string("netlist v1\nnets 4\ninput 2 a\ncell DFFER -> 3 " +
+                          std::string(inputs) + "\n");
+      FAIL() << inputs;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(NetlistIo, CommentsAndBlanksIgnored) {

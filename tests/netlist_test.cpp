@@ -75,6 +75,10 @@ TEST(Netlist, AddCellChecksArity) {
   const NetId a = nl.add_input("a");
   const NetId y = nl.new_net();
   EXPECT_THROW(nl.add_cell(CellType::And2, {a}, y), std::invalid_argument);
+  EXPECT_THROW(nl.add_cell(CellType::Inv, {}, y), std::invalid_argument);
+  // No cell type takes four inputs, and a cell holds at most three.
+  EXPECT_THROW(nl.add_cell(CellType::DffER, {a, a, a, a}, y), std::invalid_argument);
+  EXPECT_TRUE(nl.cells().empty());
   EXPECT_NO_THROW(nl.add_cell(CellType::Inv, {a}, y));
 }
 

@@ -10,6 +10,8 @@
 
 #include "core/batch_explorer.hpp"
 #include "core/explorer.hpp"
+#include "core/thread_pool.hpp"
+#include "netlist/netlist_io.hpp"
 #include "seq/workloads.hpp"
 
 namespace addm::core {
@@ -75,8 +77,9 @@ TEST(RegistryDeterminism, ShuffledExecutionOrderYieldsRegistryOrder) {
   for (int round = 0; round < 3; ++round) {
     std::shuffle(order.begin(), order.end(), rng);
     std::vector<DesignPoint> points(applicable.size());
+    BuildContext ctx;
     for (std::size_t slot : order)
-      points[slot] = evaluate_generator(registry[applicable[slot]], trace, opt);
+      points[slot] = evaluate_generator(registry[applicable[slot]], trace, opt, ctx);
     expect_points_equal(driver_points, points, "shuffle round " + std::to_string(round));
     for (std::size_t slot = 0; slot < applicable.size(); ++slot)
       EXPECT_EQ(driver_points[slot].architecture, registry[applicable[slot]].name);
@@ -149,6 +152,44 @@ TEST(RegistryDeterminism, EspressoMinimizerDeterministicAcrossThreadMatrix) {
     }
   }
   EXPECT_FALSE(csv_ref.empty());
+}
+
+TEST(RegistryDeterminism, ConcurrentCntagBuildsShareOneContext) {
+  // The three CntAG entries take their transform covers from the one
+  // BuildContext of an exploration.  Eight threads building all three at
+  // once through one context must compute the covers once, race on
+  // nothing, and produce the netlists of builds with contexts of their own.
+  // For an empty trace the computation throws: the context stays empty and
+  // every build throws the same error.
+  std::vector<const GeneratorEntry*> cntag;
+  for (const GeneratorEntry& e : generator_registry())
+    if (e.name.rfind("CntAG", 0) == 0) cntag.push_back(&e);
+  ASSERT_EQ(cntag.size(), 3u);
+  constexpr std::size_t kThreads = 8;
+  const ExploreOptions opt;
+  const seq::AddressTrace trace = seq::strided({16, 16}, 3);
+  const seq::AddressTrace empty({4, 4}, {});
+  std::vector<std::string> own;
+  for (const GeneratorEntry* e : cntag)
+    own.push_back(netlist::write_netlist_string(e->reference(trace, opt).value().netlist));
+
+  BuildContext ctx, empty_ctx;
+  std::vector<std::string> built(kThreads * cntag.size()), errors(built.size());
+  // 24 tasks, task i building entry i % 3, on 8 threads: the first eight
+  // ask for the covers together.
+  parallel_for(kThreads, built.size(), [&](std::size_t i) {
+    const GeneratorEntry& e = *cntag[i % cntag.size()];
+    built[i] = netlist::write_netlist_string(e.build(trace, opt, ctx).circuit.value().netlist);
+    try {
+      e.build(empty, opt, empty_ctx);
+    } catch (const std::invalid_argument& ex) {
+      errors[i] = ex.what();
+    }
+  });
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(built[i], own[i % cntag.size()]) << cntag[i % cntag.size()]->name << " task " << i;
+    EXPECT_EQ(errors[i], "build_cntag: empty trace") << "task " << i;
+  }
 }
 
 TEST(RegistryDeterminism, DegenerateTraceThrowsAtEveryThreadCount) {

@@ -269,7 +269,8 @@ TEST(VerifyFront, SegmentBoundariesVerify) {
     SCOPED_TRACE(std::to_string(trace.length()) + " accesses");
     for (const GeneratorEntry& e : generator_registry()) {
       if (trace.length() == 1 && e.name.rfind("CntAG", 0) == 0) {
-        const CandidateBuild b = e.build(trace, {});
+        BuildContext ctx;
+        const CandidateBuild b = e.build(trace, {}, ctx);
         EXPECT_FALSE(b.circuit.has_value()) << e.name;
         EXPECT_FALSE(b.note.empty()) << e.name;
         continue;
@@ -345,9 +346,10 @@ TEST(VerifyFront, SweptAndBufferedCandidatesStillReplayTheTrace) {
     opt.max_fanout = fanout;
     std::size_t measured = 0, buffers = 0;
     for (const seq::AddressTrace& trace : traces) {
+      BuildContext ctx;
       for (const GeneratorEntry& e : generator_registry()) {
         if (!e.applicable(trace, opt)) continue;
-        CandidateBuild b = e.build(trace, opt);
+        CandidateBuild b = e.build(trace, opt, ctx);
         if (!b.circuit) continue;
         buffers += measure_netlist(b.circuit->netlist, opt.library, fanout).buffers_added;
         EXPECT_EQ(verify_reference_against_trace(*b.circuit, trace), std::nullopt)

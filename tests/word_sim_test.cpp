@@ -62,7 +62,7 @@ RandomCircuit random_circuit(std::mt19937& rng, std::size_t num_cells) {
   auto random_inputs = [&](CellType t) {
     std::vector<NetId> ins(netlist::traits(t).num_inputs);
     for (NetId& n : ins) n = pick();
-    return ins;
+    return netlist::CellInputs(ins);
   };
 
   const CellType comb_types[] = {CellType::Inv,  CellType::Buf,  CellType::Nand2,
